@@ -1152,13 +1152,21 @@ fn render_top(addr: &str, metrics: &str) -> String {
         get("mspecd_in_flight"),
         get("mspecd_clients"),
     ));
-    out.push_str(&format!(
-        "  latency-us p50 {:<8} p90 {:<8} p99 {:<8} (n={})\n",
-        get("mspecd_latency_us{quantile=\"0.5\"}"),
-        get("mspecd_latency_us{quantile=\"0.9\"}"),
-        get("mspecd_latency_us{quantile=\"0.99\"}"),
-        get("mspecd_latency_us_count"),
-    ));
+    // Admission-to-reply latency, then its two stages.
+    for (label, family) in [
+        ("latency-us", "mspecd_latency_us"),
+        ("queue-wait-us", "mspecd_queue_wait_us"),
+        ("exec-us", "mspecd_exec_us"),
+    ] {
+        let q = |p: &str| get(&format!("{family}{{quantile=\"{p}\"}}"));
+        out.push_str(&format!(
+            "  {label} p50 {:<8} p90 {:<8} p99 {:<8} (n={})\n",
+            q("0.5"),
+            q("0.9"),
+            q("0.99"),
+            get(&format!("{family}_count")),
+        ));
+    }
     out.push_str(&format!(
         "  cache: programs {} artefacts {} memo {} compiled {} evictions {}\n",
         get("mspecd_cache_programs"),
@@ -1324,7 +1332,10 @@ mod tests {
                        mspecd_req_rate 4.200\n\
                        # TYPE mspecd_latency_us summary\n\
                        mspecd_latency_us{quantile=\"0.5\"} 210\n\
-                       mspecd_latency_us_count 7\n";
+                       mspecd_latency_us_count 7\n\
+                       # TYPE mspecd_queue_wait_us summary\n\
+                       mspecd_queue_wait_us{quantile=\"0.5\"} 35\n\
+                       mspecd_queue_wait_us_count 7\n";
         let frame = render_top("127.0.0.1:9", metrics);
         assert!(frame.contains("mspecd @ 127.0.0.1:9"), "{frame}");
         assert!(frame.contains("up 12.3s"), "{frame}");
@@ -1332,6 +1343,8 @@ mod tests {
         assert!(frame.contains("req/s 4.200"), "{frame}");
         assert!(frame.contains("p50 210"), "{frame}");
         assert!(frame.contains("(n=7)"), "{frame}");
+        assert!(frame.contains("queue-wait-us p50 35"), "{frame}");
+        assert!(frame.contains("exec-us p50 -"), "{frame}");
         // Samples the daemon did not send render as "-", not a panic.
         assert!(frame.contains("p90 -"), "{frame}");
         assert!(frame.contains("queue -"), "{frame}");

@@ -106,38 +106,50 @@ impl std::fmt::Display for BudgetResource {
     }
 }
 
-/// A shared cancellation flag: the handle an external controller (a
-/// wall-clock deadline watchdog, a disconnecting client) uses to stop a
-/// running specialisation session from another thread.
+/// A shared cancellation flag with an optional wall-clock deadline: the
+/// handle an external controller (a request deadline, a disconnecting
+/// client) uses to stop a running specialisation session.
 ///
-/// The engine polls the flag on its step-fuel path (every
+/// The engine polls the token on its step-fuel path (every
 /// [`CancelToken::CHECK_MASK`]` + 1` steps, so the cost is one atomic
-/// load amortised over ~1k evaluation steps) and aborts with
+/// load and, for a token with a deadline, one clock read amortised
+/// over ~1k evaluation steps) and aborts with
 /// [`crate::SpecError::Cancelled`] carrying the partial-progress step
-/// count. Cancellation is level-triggered and permanent: once fired,
-/// the token stays fired, so a session handed an already-cancelled
-/// token stops at its first step.
+/// count. A deadline therefore needs no timer thread: it fires at the
+/// first check point past it. Cancellation is level-triggered and
+/// permanent: once fired (or past its deadline) the token stays fired,
+/// so a session handed an already-cancelled token stops at its first
+/// check point. Clones share both the flag and the deadline.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
+pub struct CancelToken {
+    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    deadline: Option<std::time::Instant>,
+}
 
 impl CancelToken {
     /// The engine checks the flag when `steps & CHECK_MASK == 0`.
     pub const CHECK_MASK: u64 = 0x3FF;
 
-    /// A fresh, unfired token.
+    /// A fresh, unfired token with no deadline.
     pub fn new() -> CancelToken {
         CancelToken::default()
+    }
+
+    /// A fresh token that also counts as fired from `deadline` on.
+    pub fn with_deadline(deadline: std::time::Instant) -> CancelToken {
+        CancelToken { deadline: Some(deadline), ..CancelToken::default() }
     }
 
     /// Fires the token. Every engine polling this handle stops at its
     /// next check point.
     pub fn cancel(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::Release);
+        self.flag.store(true, std::sync::atomic::Ordering::Release);
     }
 
-    /// Whether the token has fired.
+    /// Whether the token has fired or its deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::Acquire)
+        self.flag.load(std::sync::atomic::Ordering::Acquire)
+            || self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
     }
 }
 
@@ -208,6 +220,34 @@ mod tests {
         assert!(t.is_cancelled());
         t2.cancel(); // idempotent
         assert!(t2.is_cancelled());
+    }
+
+    #[test]
+    fn cancel_token_past_its_deadline_is_cancelled() {
+        let past = std::time::Instant::now();
+        let t = CancelToken::with_deadline(past);
+        assert!(t.is_cancelled(), "a deadline that has passed fires the token");
+    }
+
+    #[test]
+    fn cancel_token_clones_share_deadline_and_flag() {
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        let t = CancelToken::with_deadline(far);
+        let t2 = t.clone();
+        assert!(!t.is_cancelled() && !t2.is_cancelled());
+        t2.cancel();
+        assert!(t.is_cancelled(), "the flag is shared");
+        let past = CancelToken::with_deadline(std::time::Instant::now());
+        assert!(past.clone().is_cancelled(), "the deadline is shared");
+    }
+
+    #[test]
+    fn cancel_token_without_deadline_fires_only_on_cancel() {
+        let t = CancelToken::new();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(!t.is_cancelled(), "no deadline: time alone never fires it");
+        t.cancel();
+        assert!(t.is_cancelled());
     }
 
     #[test]

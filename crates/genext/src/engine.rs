@@ -257,7 +257,7 @@ pub struct Engine<'p> {
     pub(crate) imports: BTreeMap<ModName, BTreeSet<ModName>>,
     pub(crate) provenance: Vec<Provenance>,
     pub(crate) recorder: Recorder,
-    /// External cancellation handle (deadline watchdogs, disconnecting
+    /// External cancellation handle (request deadlines, disconnecting
     /// clients); polled on the step-fuel path. `None` = never cancelled.
     cancel: Option<CancelToken>,
     /// Residual definitions currently under construction, innermost
@@ -309,11 +309,12 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Attaches a [`CancelToken`]: when some other thread fires it, the
-    /// session aborts with [`SpecError::Cancelled`] at the next check
-    /// point (at most [`CancelToken::CHECK_MASK`]` + 1` steps later).
-    /// This is the hook wall-clock deadlines hang off — a watchdog owns
-    /// the clock, the engine only ever polls a flag.
+    /// Attaches a [`CancelToken`]: when some other thread fires it, or
+    /// its deadline passes, the session aborts with
+    /// [`SpecError::Cancelled`] at the next check point (at most
+    /// [`CancelToken::CHECK_MASK`]` + 1` steps later).
+    /// This is the hook wall-clock deadlines hang off: the token carries
+    /// the deadline, so no timer thread is needed to enforce it.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }

@@ -37,9 +37,9 @@ pub enum SpecError {
         /// breach, outermost first, truncated to the innermost frames.
         chain: Vec<QualName>,
     },
-    /// The session's [`crate::CancelToken`] fired mid-run: an external
-    /// controller (a wall-clock deadline watchdog, a disconnecting
-    /// client) asked the engine to stop. The session is abandoned at a
+    /// The session's [`crate::CancelToken`] fired mid-run: its deadline
+    /// passed, or an external controller (a disconnecting client) asked
+    /// the engine to stop. The session is abandoned at a
     /// step boundary; `steps` records the partial progress made, so
     /// callers can report how far the run got before cancellation.
     Cancelled {

@@ -24,10 +24,10 @@
 //!   ([`queue`]); when it is full the server answers `overloaded`
 //!   (retryable, the HTTP 503 of this protocol) immediately instead of
 //!   growing latency without bound;
-//! * **deadlines** — each request gets a wall-clock deadline; a
-//!   watchdog thread fires the engine's [`mspec_genext::CancelToken`]
-//!   and the reply is a structured `deadline` error carrying
-//!   partial-progress stats ([`server`]);
+//! * **deadlines** — each request gets a wall-clock deadline, carried
+//!   inside the [`mspec_genext::CancelToken`] the engine polls, so no
+//!   timer thread enforces it; the reply is a structured `deadline`
+//!   error carrying partial-progress stats ([`server`]);
 //! * **observability** — every admitted request is tagged with a
 //!   stable trace id ([`request_trace_id`]) that every `--trace` event
 //!   carries, a read-only `metrics` request answers with a

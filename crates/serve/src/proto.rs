@@ -619,21 +619,17 @@ pub enum FrameRead {
     /// The line was not valid UTF-8; the stream is resynchronised at
     /// the next newline.
     BadUtf8,
-    /// The stream should be polled again (read timeout expired with an
-    /// incomplete line buffered; the [`FrameBuf`] keeps the partial
-    /// state).
-    Retry,
     /// A hard I/O error; the connection is unusable.
     Io(std::io::Error),
 }
 
-/// Cross-call reader state for [`read_frame`]: the partial line
-/// accumulated so far, plus whether the reader is currently discarding
-/// the remainder of a line that already blew [`MAX_FRAME_BYTES`].
+/// Reader state for [`read_frame`]: the partial line accumulated so
+/// far, plus whether the reader is currently discarding the remainder
+/// of a line that already blew [`MAX_FRAME_BYTES`].
 ///
-/// The discard flag is what keeps an oversized line bounded even when
-/// it spans many read timeouts: once the cap is hit the partial bytes
-/// are dropped and every further chunk of that line is consumed
+/// The discard flag is what keeps an oversized line bounded however
+/// many transport chunks it spans: once the cap is hit the partial
+/// bytes are dropped and every further chunk of that line is consumed
 /// without buffering, until its newline finally arrives.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
@@ -653,10 +649,10 @@ impl FrameBuf {
     }
 }
 
-/// Reads one `\n`-terminated frame, accumulating into `state` across
-/// calls so that a read *timeout* (used by the server to poll its
-/// shutdown flag) never loses partial bytes: on [`FrameRead::Retry`]
-/// call again with the same `state`.
+/// Reads one `\n`-terminated frame, blocking until it is complete, the
+/// stream ends or the transport fails. The server's readers need no
+/// read timeout: shutdown wakes a blocked reader by shutting the
+/// socket's read half, which reads as [`FrameRead::Eof`].
 ///
 /// At most [`MAX_FRAME_BYTES`] of one line are ever buffered: the cap
 /// is checked on every chunk the transport delivers, and an over-cap
@@ -669,14 +665,6 @@ pub fn read_frame(r: &mut impl BufRead, state: &mut FrameBuf) -> FrameRead {
         let (newline, chunk_len) = {
             let available = match r.fill_buf() {
                 Ok(a) => a,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return FrameRead::Retry;
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return FrameRead::Io(e),
             };

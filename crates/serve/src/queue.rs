@@ -7,7 +7,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,9 +21,7 @@ struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
     /// Items popped but not yet marked done via
-    /// [`BoundedQueue::task_done`]. Incremented under the queue lock at
-    /// pop time, so there is no window in which an item has left the
-    /// queue but [`BoundedQueue::is_idle`] reports idle.
+    /// [`BoundedQueue::task_done`].
     in_flight: usize,
 }
 
@@ -69,12 +66,11 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Blocking pop; `None` once the queue is closed *and* drained.
-    /// Parks with a bounded timeout, so a lost wakeup costs one period,
-    /// never a hang (same discipline as `mspec-sched`).
+    /// Pushes and closes change the state under the lock and then
+    /// notify, so a plain condvar wait cannot miss either.
     ///
     /// A popped item counts as *in flight* until the consumer calls
-    /// [`BoundedQueue::task_done`]; [`BoundedQueue::is_idle`] stays
-    /// false in between.
+    /// [`BoundedQueue::task_done`].
     pub fn pop(&self) -> Option<T> {
         let mut inner = match self.inner.lock() {
             Ok(g) => g,
@@ -88,9 +84,9 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = match self.nonempty.wait_timeout(inner, Duration::from_millis(50)) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
+            inner = match self.nonempty.wait(inner) {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
             };
         }
     }
@@ -137,18 +133,6 @@ impl<T> BoundedQueue<T> {
             Err(poisoned) => poisoned.into_inner().in_flight,
         }
     }
-
-    /// Whether the queue is empty *and* no popped item is still being
-    /// processed. Both facts are read under one lock, so a consumer
-    /// that has popped the final item can never be missed — this is
-    /// what the server's deadline watchdog keys its exit on.
-    pub fn is_idle(&self) -> bool {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner.items.is_empty() && inner.in_flight == 0
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +141,7 @@ mod tests {
 
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn sheds_at_capacity() {
@@ -182,16 +167,13 @@ mod tests {
     #[test]
     fn popped_items_stay_in_flight_until_done() {
         let q = BoundedQueue::new(2);
-        assert!(q.is_idle());
         q.try_push(1).unwrap();
-        assert!(!q.is_idle());
+        assert_eq!(q.in_flight(), 0);
         assert_eq!(q.pop(), Some(1));
         // Queue drained, but the item is still being processed.
         assert!(q.is_empty());
-        assert!(!q.is_idle());
         assert_eq!(q.in_flight(), 1);
         q.task_done();
-        assert!(q.is_idle());
         assert_eq!(q.in_flight(), 0);
     }
 

@@ -295,8 +295,9 @@ impl Resident {
 
     /// Executes one specialisation request against the resident caches.
     /// `cancel` is polled by the engine every
-    /// [`CancelToken::CHECK_MASK`]`+1` steps — the deadline watchdog's
-    /// hook into the run.
+    /// [`CancelToken::CHECK_MASK`]`+1` steps; the server hands in a
+    /// token carrying the request's deadline, so the run stops at the
+    /// first check point past it.
     ///
     /// # Errors
     ///

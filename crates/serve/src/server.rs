@@ -7,7 +7,7 @@
 //! frame ──parse──▶ admission ──try_push──▶ bounded queue ──pop──▶ worker
 //!          │            │           │                                │
 //!     bad-request   budget-denied  overloaded (shed)          catch_unwind
-//!                                                              deadline watchdog
+//!                                                            deadline token
 //! ```
 //!
 //! * `health`/`stats`/`shutdown` are answered inline on the connection
@@ -19,13 +19,20 @@
 //!   bounded queue (refused `overloaded` if full — load shedding).
 //!   Unused fuel is refunded after the run; a panicked request forfeits
 //!   its reservation.
-//! * Each job's wall-clock deadline starts at *admission*: a job that
-//!   expires while still queued is answered `deadline` without running
-//!   (this is what keeps p99 bounded under overload), and a running job
-//!   is cancelled by the watchdog firing the engine's
-//!   [`CancelToken`], surfacing partial-progress stats.
+//! * Each job's wall-clock deadline starts at *admission* and travels
+//!   inside the job's [`CancelToken`]: a job that expires while still
+//!   queued is answered `deadline` without running (this is what keeps
+//!   p99 bounded under overload), and a running job stops at the
+//!   engine's first cancellation check past the deadline, surfacing
+//!   partial-progress stats.
 //! * Every job body runs under `catch_unwind`: a panic becomes a typed
 //!   `internal` reply (retryable) and the worker survives.
+//! * No wait runs on a timer. The accept loop blocks in `accept`,
+//!   connection readers block in `read`, workers block on the queue's
+//!   condvar. Shutdown wakes each of them with an event of its own: a
+//!   self-connect for the accept loop, `shutdown(Read)` on every live
+//!   connection (readers see EOF; replies still drain through the
+//!   write half) and the queue's close for the workers.
 
 use crate::config::ServeConfig;
 use crate::proto::{
@@ -41,7 +48,7 @@ use mspec_lang::json::{FromJson, Json, ToJson};
 use mspec_telemetry::{Exposition, FlightRing, LogHistogram, RateWindow, Recorder};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,10 +61,11 @@ const _: fn() = || {
     assert_send_sync::<Resident>();
 };
 
-/// How often connection readers wake up to poll the shutdown flag, and
-/// the granularity of deadline enforcement.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-const WATCHDOG_TICK: Duration = Duration::from_millis(1);
+/// Back-off bounds after a failed `accept` (e.g. `EMFILE`). The
+/// pending connection stays queued, so retrying at once would spin;
+/// the pause doubles per consecutive failure and resets on success.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
 /// Capacity of the always-on crash flight ring: the last N
 /// request-lifecycle events (admissions, sheds, completions, errors)
@@ -121,7 +129,7 @@ struct Job {
     kind: JobKind,
     writer: SharedWriter,
     enqueued: Instant,
-    deadline: Instant,
+    /// Carries the job's deadline: fired once it passes.
     cancel: CancelToken,
     reserved: u64,
     account: Arc<AtomicU64>,
@@ -133,6 +141,10 @@ struct Job {
 struct Live {
     /// Admission-to-reply latency of executed jobs, microseconds.
     latency_us: LogHistogram,
+    /// Admission-to-pop wait of every dequeued job, microseconds.
+    queue_wait_us: LogHistogram,
+    /// Pop-to-reply time of executed jobs, microseconds.
+    exec_us: LogHistogram,
     /// Frames received, over a sliding window.
     req_window: Mutex<RateWindow>,
     /// Requests shed by the bounded queue, over the same window.
@@ -150,6 +162,8 @@ impl Default for Live {
         let w = || Mutex::new(RateWindow::new(10, 1_000));
         Live {
             latency_us: LogHistogram::default(),
+            queue_wait_us: LogHistogram::default(),
+            exec_us: LogHistogram::default(),
             req_window: w(),
             shed_window: w(),
             hit_window: w(),
@@ -167,8 +181,12 @@ struct State {
     shutdown: AtomicBool,
     clients: AtomicUsize,
     counters: Counters,
-    next_watch: AtomicU64,
-    watch: Mutex<HashMap<u64, (Instant, CancelToken)>>,
+    /// Bound TCP addresses; shutdown self-connects to each to wake its
+    /// blocking accept loop.
+    listeners: Mutex<Vec<SocketAddr>>,
+    /// Live TCP connections by connection id; shutdown shuts the read
+    /// half of each so its blocked reader sees EOF.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Connection-id mint; ids start at 1 (0 = unscoped in telemetry).
     next_conn: AtomicU64,
     /// Crash-dump sequence number (one per contained panic).
@@ -191,18 +209,35 @@ impl State {
     }
 
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
         self.queue.close();
+        // The flag is set before either lock is taken, so a connection
+        // or listener registered after these loops sees it instead.
+        for stream in lock(&self.conns).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for addr in lock(&self.listeners).iter() {
+            let _ = TcpStream::connect(addr);
+        }
     }
 
-    fn watch_register(&self, deadline: Instant, token: CancelToken) -> u64 {
-        let id = self.next_watch.fetch_add(1, Ordering::Relaxed);
-        lock(&self.watch).insert(id, (deadline, token));
-        id
+    /// Registers a live connection for shutdown's wake-up; `false` once
+    /// shutdown has begun (the caller then drops the connection).
+    fn register_conn(&self, conn: u64, stream: TcpStream) -> bool {
+        let mut conns = lock(&self.conns);
+        if self.shutting_down() {
+            return false;
+        }
+        conns.insert(conn, stream);
+        true
     }
 
-    fn watch_remove(&self, id: u64) {
-        lock(&self.watch).remove(&id);
+    /// Mints a connection id; ids start at 1 (0 is the "unscoped"
+    /// sentinel in telemetry events and the flight ring).
+    fn mint_conn(&self) -> u64 {
+        self.next_conn.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn stats(&self) -> ServerStats {
@@ -298,16 +333,15 @@ impl TcpHandle {
     }
 }
 
-/// The daemon. Construction spawns the worker pool and the deadline
-/// watchdog; [`Server::serve_stdio`] or [`Server::start_tcp`] attaches
+/// The daemon. Construction spawns the worker pool;
+/// [`Server::serve_stdio`] or [`Server::start_tcp`] attaches
 /// transports.
 pub struct Server {
     state: Arc<State>,
 }
 
 impl Server {
-    /// Builds the server and spawns `cfg.workers` request workers plus
-    /// the deadline watchdog.
+    /// Builds the server and spawns `cfg.workers` request workers.
     pub fn new(cfg: ServeConfig, rec: Recorder) -> Server {
         // `serve_cmd` validates `--cache-dir` before the server is
         // built, so a failed open here (raced directory removal) just
@@ -333,8 +367,8 @@ impl Server {
             shutdown: AtomicBool::new(false),
             clients: AtomicUsize::new(0),
             counters: Counters::default(),
-            next_watch: AtomicU64::new(0),
-            watch: Mutex::new(HashMap::new()),
+            listeners: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             crash_seq: AtomicU64::new(0),
             flight: FlightRing::new(FLIGHT_CAPACITY),
@@ -350,10 +384,6 @@ impl Server {
                 .stack_size(64 * 1024 * 1024)
                 .spawn(move || worker_loop(&st));
         }
-        let st = Arc::clone(&state);
-        let _ = std::thread::Builder::new()
-            .name("mspecd-watchdog".to_string())
-            .spawn(move || watchdog_loop(&st));
         Server { state }
     }
 
@@ -362,8 +392,9 @@ impl Server {
         self.state.stats()
     }
 
-    /// Initiates shutdown: the queue closes (draining what it holds),
-    /// workers exit, connection readers notice within [`POLL_INTERVAL`].
+    /// Initiates shutdown: the queue closes (workers drain what it holds,
+    /// then exit), every connection reader sees EOF at once, and the
+    /// accept loop is woken by a self-connect.
     pub fn shutdown(&self) {
         self.state.begin_shutdown();
     }
@@ -376,7 +407,7 @@ impl Server {
         let writer: SharedWriter =
             Arc::new(Mutex::new(Box::new(std::io::stdout()) as Box<dyn Write + Send>));
         self.state.clients.fetch_add(1, Ordering::Relaxed);
-        connection_loop(&self.state, &mut stdin.lock(), &writer);
+        connection_loop(&self.state, self.state.mint_conn(), &mut stdin.lock(), &writer);
         self.state.clients.fetch_sub(1, Ordering::Relaxed);
         self.state.begin_shutdown();
         self.finish();
@@ -391,8 +422,8 @@ impl Server {
     /// Socket bind/configuration errors.
     pub fn start_tcp(&self) -> std::io::Result<TcpHandle> {
         let listener = TcpListener::bind(("127.0.0.1", self.state.cfg.port))?;
-        let port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        lock(&self.state.listeners).push(addr);
         let state = Arc::clone(&self.state);
         let accept = std::thread::Builder::new()
             .name("mspecd-accept".to_string())
@@ -400,7 +431,7 @@ impl Server {
                 accept_loop(&state, &listener);
                 finish_trace(&state);
             })?;
-        Ok(TcpHandle { port, accept })
+        Ok(TcpHandle { port: addr.port(), accept })
     }
 
     /// Flushes the telemetry trace (stdio mode calls this itself).
@@ -418,7 +449,22 @@ fn finish_trace(state: &State) {
 
 fn accept_loop(state: &Arc<State>, listener: &TcpListener) {
     let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut backoff = Duration::ZERO;
+    // The shutdown wake is a connection like any other, so the flag is
+    // re-checked after every accept.
     while !state.shutting_down() {
+        let stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(_) => {
+                backoff = (backoff * 2).clamp(ACCEPT_BACKOFF_MIN, ACCEPT_BACKOFF_MAX);
+                std::thread::sleep(backoff);
+                continue;
+            }
+        };
+        backoff = Duration::ZERO;
+        if state.shutting_down() {
+            break;
+        }
         // Reap finished connection threads as we go: a long-lived
         // daemon must not grow this Vec with one dead handle per
         // connection ever served.
@@ -430,31 +476,23 @@ fn accept_loop(state: &Arc<State>, listener: &TcpListener) {
                 i += 1;
             }
         }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let active = state.clients.load(Ordering::Relaxed);
-                if active >= state.cfg.max_clients {
-                    state.counters.refused_clients.fetch_add(1, Ordering::Relaxed);
-                    refuse_client(stream, state.cfg.max_clients);
-                    continue;
-                }
-                state.clients.fetch_add(1, Ordering::Relaxed);
-                let st = Arc::clone(state);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("mspecd-conn".to_string())
-                    .spawn(move || {
-                        handle_tcp_connection(&st, stream);
-                        st.clients.fetch_sub(1, Ordering::Relaxed);
-                        st.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-                    })
-                {
-                    conn_threads.push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+        let active = state.clients.load(Ordering::Relaxed);
+        if active >= state.cfg.max_clients {
+            state.counters.refused_clients.fetch_add(1, Ordering::Relaxed);
+            refuse_client(stream, state.cfg.max_clients);
+            continue;
+        }
+        state.clients.fetch_add(1, Ordering::Relaxed);
+        let st = Arc::clone(state);
+        if let Ok(h) = std::thread::Builder::new()
+            .name("mspecd-conn".to_string())
+            .spawn(move || {
+                handle_tcp_connection(&st, stream);
+                st.clients.fetch_sub(1, Ordering::Relaxed);
+                st.counters.disconnects.fetch_add(1, Ordering::Relaxed);
+            })
+        {
+            conn_threads.push(h);
         }
     }
     for h in conn_threads {
@@ -481,22 +519,25 @@ fn refuse_client(stream: TcpStream, max_clients: usize) {
 }
 
 fn handle_tcp_connection(state: &Arc<State>, stream: TcpStream) {
-    // The read timeout lets the reader poll the shutdown flag without
-    // losing partial frames (see `proto::read_frame`).
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
-    let writer: SharedWriter = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(Box::new(w) as Box<dyn Write + Send>)),
-        Err(_) => return,
+    let (Ok(writer), Ok(registered)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
     };
-    let mut reader = BufReader::new(stream);
-    connection_loop(state, &mut reader, &writer);
+    let conn = state.mint_conn();
+    if !state.register_conn(conn, registered) {
+        return;
+    }
+    let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer) as Box<dyn Write + Send>));
+    connection_loop(state, conn, &mut BufReader::new(stream), &writer);
+    lock(&state.conns).remove(&conn);
 }
 
-fn connection_loop(state: &Arc<State>, reader: &mut impl BufRead, writer: &SharedWriter) {
-    // Connection ids start at 1: 0 is the "unscoped" sentinel in
-    // telemetry events and the flight ring.
-    let conn = state.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
+fn connection_loop(
+    state: &Arc<State>,
+    conn: u64,
+    reader: &mut impl BufRead,
+    writer: &SharedWriter,
+) {
     let account = Arc::new(AtomicU64::new(state.cfg.client_fuel));
     let mut buf = FrameBuf::new();
     loop {
@@ -506,8 +547,8 @@ fn connection_loop(state: &Arc<State>, reader: &mut impl BufRead, writer: &Share
                     continue;
                 }
                 handle_frame(state, &line, writer, &account, conn);
-            }
-            FrameRead::Retry => {
+                // A `shutdown` frame ends its own session too (stdin
+                // has no read half to shut).
                 if state.shutting_down() {
                     return;
                 }
@@ -713,8 +754,7 @@ fn admit(
         kind,
         writer: Arc::clone(writer),
         enqueued: now,
-        deadline,
-        cancel: CancelToken::new(),
+        cancel: CancelToken::with_deadline(deadline),
         reserved: reserve,
         account: Arc::clone(account),
     };
@@ -762,38 +802,24 @@ fn admit(
     }
 }
 
-fn watchdog_loop(state: &Arc<State>) {
-    // Keeps ticking through shutdown until the queue has drained and no
-    // job is mid-run: deadlines stay enforced for draining work. The
-    // in-flight count inside `is_idle` is bumped under the queue lock
-    // at pop time, so a worker that has just taken the final job can
-    // never be missed between the pop and its watch registration.
-    while !state.shutting_down() || !state.queue.is_idle() {
-        {
-            let watch = lock(&state.watch);
-            let now = Instant::now();
-            for (deadline, token) in watch.values() {
-                if now >= *deadline {
-                    token.cancel();
-                }
-            }
-        }
-        std::thread::sleep(WATCHDOG_TICK);
-    }
-}
-
 fn worker_loop(state: &Arc<State>) {
     while let Some(job) = state.queue.pop() {
         run_job(state, &job);
-        // After the reply is written: the watchdog may now consider the
-        // pool idle as far as this job is concerned.
+        // After the reply is written, so the in-flight gauge covers
+        // the whole execution.
         state.queue.task_done();
     }
 }
 
+/// A duration in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 fn run_job(state: &Arc<State>, job: &Job) {
-    let now = Instant::now();
-    if now >= job.deadline {
+    let popped = Instant::now();
+    state.live.queue_wait_us.observe(micros(popped - job.enqueued));
+    if job.cancel.is_cancelled() {
         // Expired while queued: answer without running. This is the
         // half of deadline enforcement that bounds p99 under
         // overload — queued latency counts against the deadline.
@@ -815,13 +841,10 @@ fn run_job(state: &Arc<State>, job: &Job) {
         );
         return;
     }
-    match job.kind {
-        JobKind::Fault => run_fault(state, job),
-        JobKind::Spec(ref spec) => run_spec(state, job, spec),
-        JobKind::Run(ref run) => run_run(state, job, run),
-    }
+    run_work(state, job);
+    state.live.exec_us.observe(micros(popped.elapsed()));
     let elapsed = job.enqueued.elapsed();
-    state.live.latency_us.observe(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
+    state.live.latency_us.observe(micros(elapsed));
     state
         .rec
         .observe("serve.latency_ns", elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
@@ -836,62 +859,54 @@ fn note_lookup(state: &State, hit: bool) {
     }
 }
 
-fn run_fault(state: &Arc<State>, job: &Job) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        panic!("injected fault (chaos request)");
-    }));
-    debug_assert!(outcome.is_err());
-    state.counters.panics.fetch_add(1, Ordering::Relaxed);
-    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-    state.rec.count("serve.panics", 1);
-    state.flight.record(job.req, job.conn, "panic", format!("fault id {} (injected)", job.id));
-    crash_dump(state, job, "worker panicked: injected fault (chaos request)");
-    send(
-        &job.writer,
-        &Response {
-            id: job.id,
-            body: ResponseBody::Error(ErrorInfo::new(
-                ErrorClass::Internal,
-                "worker panicked serving the request (contained); the fault was injected",
-            )),
-        },
-    );
-}
-
-fn run_spec(state: &Arc<State>, job: &Job, spec: &SpecRequest) {
+/// Executes a `spec`, `run` or `fault` job and writes its reply.
+fn run_work(state: &Arc<State>, job: &Job) {
     // Every span, counter and spec-decision event the engine emits for
     // this job carries the request's trace id: the recorder handle is
     // request-scoped, the shared event sink is not.
     let rec = state.rec.with_request(job.req, job.conn);
-    let wid = state.watch_register(job.deadline, job.cancel.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        state.resident.execute_spec(spec, job.cancel.clone(), &rec)
+    // Each kind yields (memo hit, engine steps, reply body). A `run`
+    // reports its specialisation stage's steps: only that stage drew on
+    // the connection account.
+    let result = catch_unwind(AssertUnwindSafe(|| match &job.kind {
+        JobKind::Spec(spec) => state.resident.execute_spec(spec, job.cancel.clone(), &rec).map(|o| {
+            let steps = o.stats.steps;
+            let body = ResponseBody::Spec {
+                entry: o.entry,
+                residual: o.residual.to_string(),
+                stats: o.stats,
+                memo_hit: o.memo_hit,
+            };
+            (o.memo_hit, steps, body)
+        }),
+        JobKind::Run(run) => {
+            let out = state.resident.execute_run(run, job.cancel.clone(), &rec, state.cfg.vm_opt);
+            out.map(|o| {
+                let body = ResponseBody::Run {
+                    entry: o.entry,
+                    value: o.value,
+                    memo_hit: o.memo_hit,
+                    compiled_hit: o.compiled_hit,
+                    instructions: o.instructions,
+                };
+                (o.memo_hit, o.spec_stats.steps, body)
+            })
+        }
+        JobKind::Fault => panic!("injected fault (chaos request)"),
     }));
-    state.watch_remove(wid);
     match result {
-        Ok(Ok(outcome)) => {
+        Ok(Ok((memo_hit, steps, body))) => {
             // Refund what the run did not spend. A memo hit ran no
             // engine work at all — its `stats` are the original run's
             // counters — so the whole reservation comes back.
-            let spent =
-                if outcome.memo_hit { 0 } else { outcome.stats.steps.min(job.reserved) };
+            let spent = if memo_hit { 0 } else { steps.min(job.reserved) };
             job.account.fetch_add(job.reserved - spent, Ordering::AcqRel);
             state.counters.ok.fetch_add(1, Ordering::Relaxed);
             rec.count("serve.ok", 1);
-            note_lookup(state, outcome.memo_hit);
-            state.flight.record(job.req, job.conn, "done", format!("spec id {}", job.id));
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Spec {
-                        entry: outcome.entry,
-                        residual: outcome.residual.to_string(),
-                        stats: outcome.stats,
-                        memo_hit: outcome.memo_hit,
-                    },
-                },
-            );
+            note_lookup(state, memo_hit);
+            let kind = if matches!(body, ResponseBody::Spec { .. }) { "spec" } else { "run" };
+            state.flight.record(job.req, job.conn, "done", format!("{kind} id {}", job.id));
+            send(&job.writer, &Response { id: job.id, body });
         }
         Ok(Err(info)) => {
             let spent = info.stats.map_or(0, |s| s.steps).min(job.reserved);
@@ -908,84 +923,20 @@ fn run_spec(state: &Arc<State>, job: &Job, spec: &SpecRequest) {
             // Panic containment: the reservation is forfeited (we cannot
             // know what was spent) and the client gets a retryable
             // `internal` error. The worker itself survives.
+            let (detail, message) = match job.kind {
+                JobKind::Fault => (
+                    format!("fault id {} (injected)", job.id),
+                    "worker panicked serving the request (contained); the fault was injected",
+                ),
+                _ => (format!("id {}", job.id), "worker panicked serving the request (contained)"),
+            };
             state.counters.panics.fetch_add(1, Ordering::Relaxed);
             state.counters.errors.fetch_add(1, Ordering::Relaxed);
             state.rec.count("serve.panics", 1);
-            state.flight.record(job.req, job.conn, "panic", format!("id {}", job.id));
-            crash_dump(state, job, "worker panicked serving the request");
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Error(ErrorInfo::new(
-                        ErrorClass::Internal,
-                        "worker panicked serving the request (contained)",
-                    )),
-                },
-            );
-        }
-    }
-}
-
-fn run_run(state: &Arc<State>, job: &Job, run: &RunRequest) {
-    let rec = state.rec.with_request(job.req, job.conn);
-    let wid = state.watch_register(job.deadline, job.cancel.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        state.resident.execute_run(run, job.cancel.clone(), &rec, state.cfg.vm_opt)
-    }));
-    state.watch_remove(wid);
-    match result {
-        Ok(Ok(outcome)) => {
-            // Refund as for `spec`: only the specialisation stage drew
-            // on the connection account, and a memo hit drew nothing.
-            let spent =
-                if outcome.memo_hit { 0 } else { outcome.spec_stats.steps.min(job.reserved) };
-            job.account.fetch_add(job.reserved - spent, Ordering::AcqRel);
-            state.counters.ok.fetch_add(1, Ordering::Relaxed);
-            rec.count("serve.ok", 1);
-            note_lookup(state, outcome.memo_hit);
-            state.flight.record(job.req, job.conn, "done", format!("run id {}", job.id));
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Run {
-                        entry: outcome.entry,
-                        value: outcome.value,
-                        memo_hit: outcome.memo_hit,
-                        compiled_hit: outcome.compiled_hit,
-                        instructions: outcome.instructions,
-                    },
-                },
-            );
-        }
-        Ok(Err(info)) => {
-            let spent = info.stats.map_or(0, |s| s.steps).min(job.reserved);
-            job.account.fetch_add(job.reserved - spent, Ordering::AcqRel);
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            if info.class == ErrorClass::Deadline {
-                state.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                state.rec.count("serve.deadline_expired", 1);
-            }
-            state.flight.record(job.req, job.conn, "error", format!("id {}: {}", job.id, info.class));
+            state.flight.record(job.req, job.conn, "panic", detail);
+            crash_dump(state, job, message);
+            let info = ErrorInfo::new(ErrorClass::Internal, message);
             send(&job.writer, &Response { id: job.id, body: ResponseBody::Error(info) });
-        }
-        Err(_) => {
-            state.counters.panics.fetch_add(1, Ordering::Relaxed);
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            state.rec.count("serve.panics", 1);
-            state.flight.record(job.req, job.conn, "panic", format!("id {}", job.id));
-            crash_dump(state, job, "worker panicked serving the request");
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Error(ErrorInfo::new(
-                        ErrorClass::Internal,
-                        "worker panicked serving the request (contained)",
-                    )),
-                },
-            );
         }
     }
 }
@@ -1035,11 +986,14 @@ fn metrics_text(state: &State) -> String {
         "Share of finished spec/run lookups answered by the resident memo, sliding window",
         hits.saturating_mul(1000).checked_div(lookups).unwrap_or(0),
     );
-    exp.summary(
-        "mspecd_latency_us",
-        "Admission-to-reply latency of executed jobs, microseconds",
-        &state.live.latency_us.nonzero_buckets(),
-    );
+    let live = &state.live;
+    for (name, help, hist) in [
+        ("mspecd_latency_us", "Admission-to-reply latency of executed jobs", &live.latency_us),
+        ("mspecd_queue_wait_us", "Admission-to-pop wait of dequeued jobs", &live.queue_wait_us),
+        ("mspecd_exec_us", "Pop-to-reply time of executed jobs", &live.exec_us),
+    ] {
+        exp.summary(name, &format!("{help}, microseconds"), &hist.nonzero_buckets());
+    }
     let (programs, artefacts, memo, compiled) = state.resident.cache_sizes();
     exp.gauge("mspecd_cache_programs", "Resident compiled inline programs", programs as u64);
     exp.gauge("mspecd_cache_artefacts", "Resident linked artefact sets", artefacts as u64);

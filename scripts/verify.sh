@@ -96,6 +96,8 @@ timeout 60 ./target/release/mspec top --connect "${SERVE_ADDR}" --once \
   > target/serve-smoke/top.txt
 grep -q 'latency-us p50' target/serve-smoke/top.txt \
   || { echo "mspec top --once rendered no dashboard frame"; exit 1; }
+grep -q 'queue-wait-us p50' target/serve-smoke/top.txt \
+  || { echo "mspec top --once rendered no stage-latency rows"; exit 1; }
 # An injected fault must come back as a typed internal error while the
 # daemon survives; the next health probe proves it is still up.
 timeout 60 ./target/release/mspec client fault --connect "${SERVE_ADDR}" --retries 1
@@ -112,7 +114,15 @@ head -1 target/serve-smoke/crashes/crash-*.jsonl | grep -q '"req":' \
   || { echo "crash dump header names no request"; exit 1; }
 test "$(wc -l < target/serve-smoke/crashes/crash-*.jsonl)" -ge 2 \
   || { echo "crash dump carries no flight-ring events"; exit 1; }
+# Idle-connection shutdown: a client that holds a connection open and
+# never sends a byte must not keep the daemon alive. Shutdown wakes
+# the blocked reader itself, so the process exits within 5 s.
+exec 3<>"/dev/tcp/127.0.0.1/${SERVE_ADDR##*:}"
 timeout 60 ./target/release/mspec client shutdown --connect "${SERVE_ADDR}"
+timeout 5 tail --pid="${SERVE_PID}" -f /dev/null \
+  || { echo "daemon did not exit within 5 s of shutdown with an idle connection open"; \
+       kill "${SERVE_PID}"; exit 1; }
+exec 3<&-
 wait "${SERVE_PID}"
 test -s target/serve-smoke/daemon-trace.jsonl \
   || { echo "daemon wrote no telemetry trace"; exit 1; }

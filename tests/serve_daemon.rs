@@ -5,7 +5,9 @@
 //!   unaffected;
 //! * residuals produced through the daemon are byte-identical to the
 //!   batch `mspec spec` CLI output (same pipeline, same pretty-printer);
-//! * the cross-request memo is shared between connections.
+//! * the cross-request memo is shared between connections;
+//! * no wait runs on a timer: fresh connections are answered at once,
+//!   and shutdown wakes idle readers and the accept loop.
 
 use mspec_serve::{
     ErrorClass, Request, RequestKind, Response, ResponseBody, ServeConfig, Server, SpecRequest,
@@ -176,6 +178,58 @@ fn memo_is_shared_across_connections() {
 
     server.shutdown();
     handle.join();
+}
+
+fn health_counter(c: &mut Conn, name: &str) -> u64 {
+    let resp = c.roundtrip(&Request { id: 0, kind: RequestKind::Health });
+    let ResponseBody::Health { counters, .. } = resp.body else { panic!("{resp:?}") };
+    counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap()
+}
+
+/// A timer-polled accept loop makes every fresh connection wait out its
+/// sleep before the first reply; a blocking accept answers at once.
+#[test]
+fn fresh_connections_get_their_first_reply_without_a_poll_delay() {
+    let (server, handle) = start(ServeConfig::default());
+    let t0 = std::time::Instant::now();
+    for _ in 0..16 {
+        let mut c = Conn::open(handle.port);
+        health_counter(&mut c, "serve.requests");
+    }
+    let total = t0.elapsed();
+    assert!(total < std::time::Duration::from_millis(100), "16 fresh round trips took {total:?}");
+    server.shutdown();
+    handle.join();
+}
+
+/// Connections that never send a byte leave their readers blocked in
+/// `read` and the accept loop blocked in `accept`; shutdown must wake
+/// all of them, so joining the listener returns and each client sees
+/// the server close its side.
+#[test]
+fn shutdown_wakes_idle_readers_and_the_accept_loop() {
+    use std::io::Read;
+
+    let (server, handle) = start(ServeConfig::default());
+    let mut idle: Vec<TcpStream> =
+        (0..4).map(|_| TcpStream::connect(("127.0.0.1", handle.port)).unwrap()).collect();
+    // Connections are accepted in order, so once a fifth one is served
+    // all four idle ones have been accepted.
+    let mut probe = Conn::open(handle.port);
+    assert_eq!(health_counter(&mut probe, "serve.clients"), 5);
+    server.shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("accept loop and every idle reader exit after shutdown");
+    assert_eq!(server.stats().disconnects, 5);
+    for c in &mut idle {
+        c.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        assert_eq!(c.read(&mut [0u8; 1]).unwrap(), 0, "the server closed its side");
+    }
 }
 
 /// One fully traced daemon run: a single connection issues two spec
