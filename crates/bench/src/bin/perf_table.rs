@@ -1,51 +1,28 @@
-//! PR 1 performance table: interned vs legacy engine cost model, memo
+//! Engine performance table: interned-engine specialise time, memo
 //! behaviour, and sequential vs level-parallel pipeline builds.
 //!
 //! Run: `cargo run --release -p mspec-bench --bin perf_table`
 //!
-//! Prints the comparison and writes machine-readable results to
-//! `BENCH_pr1.json` in the current directory.
-//!
-//! [`CostModel::Legacy`] is a good-faith reconstruction of the
-//! string-based engine's per-operation costs (deep env clones, one
-//! string allocation per identifier handled, string-keyed memo and
-//! function index). It necessarily *under*-states the old engine's true
-//! cost: second-order effects — allocator pressure and the cache misses
-//! of chasing `String` pointers through every map — cannot be replayed
-//! by a cost tax, so treat the speedups below as lower bounds.
+//! Prints the table and writes machine-readable results to
+//! `BENCH_pr1.json` in the current directory. The committed
+//! `BENCH_pr1.json` also records the interned engine's speedup over a
+//! reconstruction of the string-based engine it replaced; that
+//! reconstruction has since been deleted, so a re-run writes the
+//! interned times only.
 
 use mspec_bench::workloads::{library_args, POWER};
 use mspec_bench::{cores, time_min, us};
-use mspec_core::{BuildMode, CostModel, EngineOptions, Pipeline, SpecArg};
+use mspec_core::{BuildMode, Pipeline, SpecArg};
 use mspec_lang::eval::{with_big_stack, Value};
 use mspec_lang::{Json, QualName, ToJson};
 use mspec_testkit::{layered_program, library_program, LayeredShape, LibraryShape};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-struct SpecPair {
-    interned: Duration,
-    legacy: Duration,
-}
-
-impl SpecPair {
-    fn speedup(&self) -> f64 {
-        self.legacy.as_secs_f64() / self.interned.as_secs_f64()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("interned_ns", nanos(self.interned)),
-            ("legacy_ns", nanos(self.legacy)),
-            ("speedup_milli", milli_ratio(self.speedup())),
-        ])
-    }
-}
-
 struct PerfReport {
     cores: usize,
-    e5_unfold: SpecPair,
-    e5_polyvariant: SpecPair,
+    e5_unfold: Duration,
+    e5_polyvariant: Duration,
     memo_probes: usize,
     memo_hits: usize,
     build_sequential: Duration,
@@ -82,8 +59,11 @@ impl ToJson for PerfReport {
         Json::obj([
             ("pr", Json::str("pr1")),
             ("cores", Json::Num(self.cores as u128)),
-            ("spec_e5_n64_unfold", self.e5_unfold.to_json()),
-            ("spec_e5_n64_polyvariant", self.e5_polyvariant.to_json()),
+            ("spec_e5_n64_unfold", Json::obj([("interned_ns", nanos(self.e5_unfold))])),
+            (
+                "spec_e5_n64_polyvariant",
+                Json::obj([("interned_ns", nanos(self.e5_polyvariant))]),
+            ),
             (
                 "memo_power_ds",
                 Json::obj([
@@ -130,23 +110,14 @@ fn library_pipeline(
     (Pipeline::from_program_with(program, &force).unwrap(), entry)
 }
 
-/// Times one specialisation session under both cost models.
-fn spec_pair(pipeline: &Pipeline, entry: &QualName, iters: usize) -> SpecPair {
-    let opts = |cost_model| EngineOptions { cost_model, ..EngineOptions::default() };
-    let run = |cm| {
-        time_min(iters, || {
-            pipeline
-                .specialise_opts(
-                    entry.module.as_str(),
-                    entry.name.as_str(),
-                    library_args(),
-                    opts(cm),
-                )
-                .unwrap()
-        })
-        .0
-    };
-    SpecPair { interned: run(CostModel::Interned), legacy: run(CostModel::Legacy) }
+/// Times one specialisation session (minimum over `iters` runs).
+fn spec_time(pipeline: &Pipeline, entry: &QualName, iters: usize) -> Duration {
+    time_min(iters, || {
+        pipeline
+            .specialise(entry.module.as_str(), entry.name.as_str(), library_args())
+            .unwrap()
+    })
+    .0
 }
 
 fn main() {
@@ -156,15 +127,15 @@ fn main() {
 fn run() {
     let cores = cores();
 
-    // --- E5 library scaling, N = 64 modules: interned vs legacy ------
+    // --- E5 library scaling, N = 64 modules ---------------------------
     // Two sessions over the same 64-module library. "unfold": the
     // canonical E5 request (everything static unfolds away). "poly-
     // variant": every library function forced residual, so the session
     // exercises the memo, naming and placement machinery heavily.
     let (unfold_pipeline, unfold_entry) = library_pipeline(64, 3, 6, false);
-    let e5_unfold = spec_pair(&unfold_pipeline, &unfold_entry, 30);
+    let e5_unfold = spec_time(&unfold_pipeline, &unfold_entry, 30);
     let (poly_pipeline, poly_entry) = library_pipeline(64, 8, 24, true);
-    let e5_polyvariant = spec_pair(&poly_pipeline, &poly_entry, 20);
+    let e5_polyvariant = spec_time(&poly_pipeline, &poly_entry, 20);
 
     // --- memo behaviour: a residualising workload --------------------
     // `power {D,S}` residualises (dynamic exponent blocks unfolding);
@@ -203,12 +174,8 @@ fn run() {
     println!("PR 1 performance table (cores = {cores})");
     println!();
     println!("E5 library scaling, N = 64 modules, specialise-time:");
-    println!("  unfold session      interned {} us   legacy {} us   speedup {:>5.2}x",
-        us(report.e5_unfold.interned), us(report.e5_unfold.legacy), report.e5_unfold.speedup());
-    println!("  polyvariant session interned {} us   legacy {} us   speedup {:>5.2}x",
-        us(report.e5_polyvariant.interned), us(report.e5_polyvariant.legacy),
-        report.e5_polyvariant.speedup());
-    println!("  (legacy = cost-model reconstruction of the string engine; lower bound)");
+    println!("  unfold session      interned {} us", us(report.e5_unfold));
+    println!("  polyvariant session interned {} us", us(report.e5_polyvariant));
     println!();
     println!(
         "Memo (power {{D,S}}): {} hits / {} probes ({:.0}% hit rate)",

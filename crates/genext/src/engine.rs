@@ -23,17 +23,27 @@
 //! is a reference-count bump and applying a closure shares its captured
 //! frame instead of copying it. The memo table is probed by a structural
 //! hash computed during splitting ([`split_hashed`]); the full [`PKey`]
-//! skeletons are only compared on a hash collision.
+//! skeletons are only compared on a hash collision. Static evaluation
+//! avoids allocation where it can: a coercion that lifts nothing under
+//! the call's mask ([`GCoerce::is_noop`]) hands its input on without
+//! walking it, literals and static primitive results come from a fixed
+//! set of shared constants (both booleans, `[]`, small naturals), and
+//! primitive arguments are evaluated into a fixed-size array. `eval`
+//! recurses once per nesting level of the object program, unfolded calls
+//! included, so everything off that path (the residualising half of a
+//! call, residual-code builders, error formatting) is kept out of line
+//! to keep the host-stack frame small.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::budget::{BudgetResource, CancelToken, Fuel, OnExhaustion, SpecBudget};
 use crate::emit::{assemble, MemorySink, ModuleSink, ResidualProgram};
 use crate::error::SpecError;
-use crate::gexp::{GCoerce, GenProgram, GExp};
+use crate::gexp::{BtCode, GCoerce, GenFn, GenProgram, GExp};
 use crate::placement::Placer;
 use crate::value::{
-    all_holes_hash, hash_fold, rebuild, split_hashed, Closure, PKey, PVal, SKELETON_SEED,
+    all_holes_hash, hash_fold, rebuild, split_hashed, Closure, Literals, PKey, PVal,
+    SKELETON_SEED,
 };
 use mspec_bta::division::{Division, ParamBt};
 use mspec_bta::BtMask;
@@ -57,25 +67,6 @@ pub enum Strategy {
     DepthFirst,
 }
 
-/// Per-operation cost model: how much work each variable lookup and memo
-/// probe performs.
-///
-/// [`CostModel::Legacy`] replicates the engine's pre-interning costs —
-/// deep value clones on every variable lookup, lambda capture and
-/// closure application, and memo keys built from freshly formatted
-/// strings plus deep skeleton copies. It exists so benchmarks can
-/// measure the old and new engines in the *same run* on the *same
-/// machine*; residual output is identical under both models, only the
-/// constant factors differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// Shared `Rc` environments and hash-probed memoisation (default).
-    #[default]
-    Interned,
-    /// Pre-interning behaviour: deep clones and string-keyed memoisation.
-    Legacy,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
@@ -89,8 +80,6 @@ pub struct EngineOptions {
     /// the offending call to a fully-dynamic residual call so the
     /// session always terminates with a correct program.
     pub on_exhaustion: OnExhaustion,
-    /// Per-operation cost model (benchmarking aid; see [`CostModel`]).
-    pub cost_model: CostModel,
 }
 
 impl Default for EngineOptions {
@@ -99,7 +88,6 @@ impl Default for EngineOptions {
             strategy: Strategy::BreadthFirst,
             budget: SpecBudget::default(),
             on_exhaustion: OnExhaustion::Error,
-            cost_model: CostModel::Interned,
         }
     }
 }
@@ -241,7 +229,8 @@ pub struct Engine<'p> {
     pub(crate) program: &'p GenProgram,
     pub(crate) options: EngineOptions,
     pub(crate) memo: HashMap<SpecKey, Vec<(Vec<PKey>, QualName)>>,
-    legacy_memo: HashMap<(String, u128, Vec<PKey>), QualName>,
+    /// Shared literal values (see [`Literals`]).
+    lits: Literals,
     pub(crate) pending: VecDeque<PendingSpec>,
     pub(crate) placer: Placer,
     pub(crate) name_counters: HashMap<QualName, u32>,
@@ -291,7 +280,7 @@ impl<'p> Engine<'p> {
             program,
             options,
             memo: HashMap::new(),
-            legacy_memo: HashMap::new(),
+            lits: Literals::new(),
             pending: VecDeque::new(),
             placer: Placer::new(program.graph()),
             name_counters: HashMap::new(),
@@ -561,13 +550,6 @@ impl<'p> Engine<'p> {
         self.resid_stack.push(spec.resid);
         let result = self.eval(&body, &mut env, spec.mask, spec.target.module, sink)?;
         let body_expr = self.lift_owned(result, sink)?;
-        if self.options.cost_model == CostModel::Legacy {
-            // The string-based engine allocated one heap `String` per
-            // identifier occurrence while constructing this body (every
-            // `Expr::Var`/`Call` node carried owned strings).
-            legacy_expr_cost(&body_expr);
-            legacy_name_cost(&spec.resid);
-        }
         let def = Def::new(spec.resid.name, spec.formals, body_expr);
         self.stats.specialisations += 1;
         self.stats.residual_nodes += def.body.size();
@@ -681,21 +663,8 @@ impl<'p> Engine<'p> {
         Ident::new(format!("{base}'{}", self.gensym))
     }
 
-    /// Environment lookup under the configured cost model: a
-    /// reference-count bump, or (legacy) the deep clone the
-    /// pre-interning engine performed.
-    #[inline]
-    fn fetch(&self, env: &[Rc<PVal>], i: usize) -> Rc<PVal> {
-        match self.options.cost_model {
-            CostModel::Interned => Rc::clone(&env[i]),
-            CostModel::Legacy => Rc::new(legacy_clone(&env[i])),
-        }
-    }
-
-    /// Memo lookup. Interned: O(1) probe on `(target, mask, hash)` plus
-    /// a collision-checked skeleton compare within the bucket. Legacy:
-    /// format the target into a fresh string and deep-copy the
-    /// skeletons, as the old engine's key construction did.
+    /// Memo lookup: an O(1) probe on `(target, mask, hash)` plus a
+    /// collision-checked skeleton compare within the bucket.
     fn memo_find(
         &mut self,
         target: QualName,
@@ -704,16 +673,8 @@ impl<'p> Engine<'p> {
         hash: u64,
     ) -> Option<QualName> {
         self.stats.memo_probes += 1;
-        match self.options.cost_model {
-            CostModel::Interned => {
-                let bucket = self.memo.get(&SpecKey { target, mask: mask.0, hash })?;
-                bucket.iter().find(|(k, _)| k.as_slice() == keys).map(|(_, r)| *r)
-            }
-            CostModel::Legacy => {
-                let key = (target.to_string(), mask.0, keys.to_vec());
-                self.legacy_memo.get(&key).copied()
-            }
-        }
+        let bucket = self.memo.get(&SpecKey { target, mask: mask.0, hash })?;
+        bucket.iter().find(|(k, _)| k.as_slice() == keys).map(|(_, r)| *r)
     }
 
     fn memo_insert(
@@ -724,17 +685,10 @@ impl<'p> Engine<'p> {
         hash: u64,
         resid: QualName,
     ) {
-        match self.options.cost_model {
-            CostModel::Interned => {
-                self.memo
-                    .entry(SpecKey { target, mask: mask.0, hash })
-                    .or_default()
-                    .push((keys, resid));
-            }
-            CostModel::Legacy => {
-                self.legacy_memo.insert((target.to_string(), mask.0, keys), resid);
-            }
-        }
+        self.memo
+            .entry(SpecKey { target, mask: mask.0, hash })
+            .or_default()
+            .push((keys, resid));
     }
 
     /// `mk_resid` plus the unfold decision: the call side of §4.2.
@@ -745,11 +699,6 @@ impl<'p> Engine<'p> {
         args: Vec<Rc<PVal>>,
         sink: &mut dyn ModuleSink,
     ) -> Result<Rc<PVal>, SpecError> {
-        if self.options.cost_model == CostModel::Legacy {
-            // The pre-interning function index was keyed on string pairs:
-            // every call-site resolution formatted and hashed the names.
-            legacy_name_cost(target);
-        }
         let f = self
             .program
             .function(target)
@@ -763,40 +712,49 @@ impl<'p> Engine<'p> {
         {
             return self.generalise(target, args, sink);
         }
-        if f.sig.unfoldable_under(mask) {
-            self.stats.unfolds += 1;
-            if self.recorder.is_enabled() {
-                let witness = format!(
-                    "unfold term {} = S under {}",
-                    f.sig.unfold,
-                    mask.render(f.sig.vars)
-                );
-                if self.par.is_some() {
-                    // Worker mode: buffer the event; the driver emits it
-                    // at replay with the sequential budget gauges.
-                    self.buffer_unfold_event(target, mask, f.sig.vars, witness);
-                } else {
-                    self.record_decision(
-                        Decision::Unfold,
-                        target,
-                        mask,
-                        f.sig.vars,
-                        0,
-                        false,
-                        None,
-                        witness,
-                    );
-                }
-            }
-            let body = Arc::clone(&f.body);
-            let mut env = args;
-            self.chain.push((*target, 0));
-            let r = self.eval(&body, &mut env, mask, target.module, sink)?;
-            self.chain.pop();
-            return Ok(r);
+        if !f.sig.unfoldable_under(mask) {
+            return self.residualise(f, target, mask, args, sink);
         }
+        self.stats.unfolds += 1;
+        if self.recorder.is_enabled() {
+            self.record_unfold(f, target, mask);
+        }
+        let mut env = args;
+        self.chain.push((*target, 0));
+        let r = self.eval(&f.body, &mut env, mask, target.module, sink)?;
+        self.chain.pop();
+        Ok(r)
+    }
 
-        // Residualise: split arguments, memoise on the static skeleton.
+    /// The unfold decision event (telemetry only).
+    #[inline(never)]
+    fn record_unfold(&mut self, f: &GenFn, target: &QualName, mask: BtMask) {
+        let witness =
+            format!("unfold term {} = S under {}", f.sig.unfold, mask.render(f.sig.vars));
+        if self.par.is_some() {
+            // Worker mode: buffer the event; replay emits it with the
+            // sequential budget gauges.
+            self.buffer_unfold_event(target, mask, f.sig.vars, witness);
+        } else {
+            let vars = f.sig.vars;
+            self.record_decision(Decision::Unfold, target, mask, vars, 0, false, None, witness);
+        }
+    }
+
+    /// `mk_resid` proper: split the arguments, memoise on the static
+    /// skeleton, and name, place and queue a new specialisation on a
+    /// miss. Kept out of line: [`Engine::call`]'s unfold path lies on
+    /// the recursion of every unfolded call, and this path's locals
+    /// would otherwise widen that frame.
+    #[inline(never)]
+    fn residualise(
+        &mut self,
+        f: &GenFn,
+        target: &QualName,
+        mask: BtMask,
+        args: Vec<Rc<PVal>>,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Rc<PVal>, SpecError> {
         let mut leaves = Vec::new();
         let mut keys = Vec::with_capacity(args.len());
         let mut leaf_names: Vec<Ident> = Vec::new();
@@ -837,11 +795,6 @@ impl<'p> Engine<'p> {
                 Some(&resid),
                 String::new(),
             );
-            if self.options.cost_model == CostModel::Legacy {
-                // The old `CallName::from` cloned the module and
-                // function name strings into the residual call site.
-                legacy_name_cost(&resid);
-            }
             return Ok(Rc::new(PVal::Code(Expr::Call(CallName::from(resid), leaves))));
         }
 
@@ -852,26 +805,12 @@ impl<'p> Engine<'p> {
                 self.budget_error(BudgetResource::Specialisations, Some((*target, hash)))
             );
         }
-        if self.options.cost_model == CostModel::Legacy {
-            // Naming, placement and provenance in the string-based
-            // engine hashed and cloned qualified-name strings: the
-            // name-counter probe, the placement set inserts (one per
-            // free function) and the two provenance clones.
-            legacy_name_cost(target);
-            legacy_name_cost(target);
-            legacy_name_cost(target);
-        }
         let counter = self.name_counters.entry(*target).or_insert(0);
         *counter += 1;
         let resid_name = Ident::new(format!("{}_{}", target.name, counter));
         let mut free = vec![*target];
         for a in &args {
             a.free_fns(&mut free);
-        }
-        if self.options.cost_model == CostModel::Legacy {
-            for q in &free {
-                legacy_name_cost(q);
-            }
         }
         let module = self.placer.place(&free, self.program.graph());
         let resid = QualName { module, name: resid_name };
@@ -890,13 +829,6 @@ impl<'p> Engine<'p> {
             .iter()
             .map(|a| Rc::new(rebuild(a, &formals, &mut next)))
             .collect();
-        if self.options.cost_model == CostModel::Legacy {
-            // The old `rebuild` cloned each formal's name string into
-            // the `Expr::Var` leaf it planted.
-            for f in &formals {
-                std::hint::black_box(f.as_str().to_string());
-            }
-        }
         let spec = PendingSpec {
             target: *target,
             mask,
@@ -951,6 +883,7 @@ impl<'p> Engine<'p> {
     /// Note the unfold decision is deliberately skipped: a recursive
     /// function without static conditionals is unfoldable under *every*
     /// mask and would unfold forever.
+    #[inline(never)]
     fn generalise(
         &mut self,
         target: &QualName,
@@ -1049,42 +982,33 @@ impl<'p> Engine<'p> {
     ) -> Result<Rc<PVal>, SpecError> {
         self.step()?;
         match e {
-            GExp::Nat(n) => Ok(Rc::new(PVal::Nat(*n))),
-            GExp::Bool(b) => Ok(Rc::new(PVal::Bool(*b))),
-            GExp::Nil => Ok(Rc::new(PVal::Nil)),
-            GExp::Var(i) => Ok(self.fetch(env, *i as usize)),
-            GExp::Prim(op, code, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, env, mask, module, sink)?);
+            GExp::Nat(n) => Ok(self.lits.nat(*n)),
+            GExp::Bool(b) => Ok(self.lits.boolean(*b)),
+            GExp::Nil => Ok(self.lits.nil()),
+            GExp::Var(i) => Ok(Rc::clone(&env[*i as usize])),
+            GExp::Prim(op, code, args) => match args.as_slice() {
+                [a] => {
+                    let a = self.eval(a, env, mask, module, sink)?;
+                    self.prim(*op, *code, [a], mask, sink)
                 }
-                if code.is_dynamic(mask) {
-                    let mut lifted = Vec::with_capacity(vals.len());
-                    for v in vals {
-                        lifted.push(self.lift_owned(v, sink)?);
-                    }
-                    Ok(Rc::new(PVal::Code(Expr::Prim(*op, lifted))))
-                } else {
-                    static_prim(*op, vals)
+                [a, b] => {
+                    let a = self.eval(a, env, mask, module, sink)?;
+                    let b = self.eval(b, env, mask, module, sink)?;
+                    self.prim(*op, *code, [a, b], mask, sink)
                 }
-            }
+                _ => Err(arity_error(*op, args.len())),
+            },
             GExp::If(code, c, t, f) => {
                 let cv = self.eval(c, env, mask, module, sink)?;
                 if code.is_dynamic(mask) {
                     let tv = self.eval(t, env, mask, module, sink)?;
                     let fv = self.eval(f, env, mask, module, sink)?;
-                    Ok(Rc::new(PVal::Code(Expr::If(
-                        Box::new(self.lift_owned(cv, sink)?),
-                        Box::new(self.lift_owned(tv, sink)?),
-                        Box::new(self.lift_owned(fv, sink)?),
-                    ))))
+                    self.residual_if(cv, tv, fv, sink)
                 } else {
                     match &*cv {
                         PVal::Bool(true) => self.eval(t, env, mask, module, sink),
                         PVal::Bool(false) => self.eval(f, env, mask, module, sink),
-                        other => Err(SpecError::TypeConfusion(format!(
-                            "static conditional on non-boolean {other:?}"
-                        ))),
+                        other => Err(type_confusion("static conditional on non-boolean", other)),
                     }
                 }
             }
@@ -1101,33 +1025,16 @@ impl<'p> Engine<'p> {
                 }
                 self.call(target, callee_mask, vals, sink)
             }
-            GExp::Lam { param, body, captured, free_fns, lam_id } => {
-                let captured_vals =
-                    captured.iter().map(|s| self.fetch(env, *s as usize)).collect();
-                Ok(Rc::new(PVal::Clo(Rc::new(Closure {
-                    param: *param,
-                    body: Arc::clone(body),
-                    env: captured_vals,
-                    free_fns: Arc::clone(free_fns),
-                    lam_id: *lam_id,
-                    module,
-                    mask,
-                }))))
-            }
+            GExp::Lam { .. } => Ok(closure(e, env, mask, module)),
             GExp::App(code, f, a) => {
                 let fv = self.eval(f, env, mask, module, sink)?;
                 let av = self.eval(a, env, mask, module, sink)?;
                 if code.is_dynamic(mask) {
-                    Ok(Rc::new(PVal::Code(Expr::App(
-                        Box::new(self.lift_owned(fv, sink)?),
-                        Box::new(self.lift_owned(av, sink)?),
-                    ))))
+                    self.residual_app(fv, av, sink)
                 } else {
                     match &*fv {
                         PVal::Clo(c) => self.apply_closure(c, av, sink),
-                        other => Err(SpecError::TypeConfusion(format!(
-                            "static application of non-closure {other:?}"
-                        ))),
+                        other => Err(type_confusion("static application of non-closure", other)),
                     }
                 }
             }
@@ -1145,6 +1052,59 @@ impl<'p> Engine<'p> {
         }
     }
 
+    // The residual builders below stay out of line: `eval` recurses once
+    // per nesting level of the object program, so every local it holds
+    // is paid for at every level of the host stack.
+
+    #[inline(never)]
+    fn residual_if(
+        &mut self,
+        c: Rc<PVal>,
+        t: Rc<PVal>,
+        f: Rc<PVal>,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Rc<PVal>, SpecError> {
+        Ok(Rc::new(PVal::Code(Expr::If(
+            Box::new(self.lift_owned(c, sink)?),
+            Box::new(self.lift_owned(t, sink)?),
+            Box::new(self.lift_owned(f, sink)?),
+        ))))
+    }
+
+    #[inline(never)]
+    fn residual_app(
+        &mut self,
+        f: Rc<PVal>,
+        a: Rc<PVal>,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Rc<PVal>, SpecError> {
+        Ok(Rc::new(PVal::Code(Expr::App(
+            Box::new(self.lift_owned(f, sink)?),
+            Box::new(self.lift_owned(a, sink)?),
+        ))))
+    }
+
+    /// `mk_op` on evaluated arguments: residual code when the primitive's
+    /// binding time is `D` under `mask`, the static result otherwise.
+    fn prim<const N: usize>(
+        &mut self,
+        op: PrimOp,
+        code: BtCode,
+        vals: [Rc<PVal>; N],
+        mask: BtMask,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Rc<PVal>, SpecError> {
+        if code.is_dynamic(mask) {
+            let mut lifted = Vec::with_capacity(N);
+            for v in vals {
+                lifted.push(self.lift_owned(v, sink)?);
+            }
+            Ok(Rc::new(PVal::Code(Expr::Prim(op, lifted))))
+        } else {
+            static_prim(&mut self.lits, op, &vals)
+        }
+    }
+
     /// Unfolds a static closure: evaluates its generating function on the
     /// argument, under the closure's *origin* mask (its binding times
     /// refer to the signature variables of the function it was written
@@ -1155,17 +1115,40 @@ impl<'p> Engine<'p> {
         arg: Rc<PVal>,
         sink: &mut dyn ModuleSink,
     ) -> Result<Rc<PVal>, SpecError> {
-        let mut env: Vec<Rc<PVal>> = match self.options.cost_model {
-            CostModel::Interned => c.env.clone(),
-            CostModel::Legacy => c.env.iter().map(|e| Rc::new(legacy_clone(e))).collect(),
-        };
+        let mut env = c.env.clone();
         env.push(arg);
         let body = Arc::clone(&c.body);
         self.eval(&body, &mut env, c.mask, c.module, sink)
     }
 
-    /// Applies a compiled coercion to a value.
-    fn coerce(
+    /// Applies a compiled coercion to a value under `mask`. A coercion
+    /// that lifts nothing ([`GCoerce::is_noop`]) returns `v` itself, so
+    /// the spine of a static list is rebuilt only when some element
+    /// really rises to `D`.
+    ///
+    /// # Errors
+    ///
+    /// Eta-expanding a static closure specialises its body, which can
+    /// fail with any [`SpecError`]; a static-spine coercion applied to a
+    /// non-list is [`SpecError::TypeConfusion`].
+    pub fn coerce(
+        &mut self,
+        spec: &GCoerce,
+        v: Rc<PVal>,
+        mask: BtMask,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Rc<PVal>, SpecError> {
+        if spec.is_noop(mask) {
+            Ok(v)
+        } else {
+            self.coerce_active(spec, v, mask, sink)
+        }
+    }
+
+    /// [`Engine::coerce`] for a coercion known not to be a no-op under
+    /// `mask`: either the whole value lifts to code, or the spine stays
+    /// static and its elements are coerced.
+    fn coerce_active(
         &mut self,
         spec: &GCoerce,
         v: Rc<PVal>,
@@ -1173,26 +1156,12 @@ impl<'p> Engine<'p> {
         sink: &mut dyn ModuleSink,
     ) -> Result<Rc<PVal>, SpecError> {
         match spec {
-            GCoerce::Id => Ok(v),
-            GCoerce::Base { from, to } | GCoerce::Fun { from, to } => {
-                if !from.is_dynamic(mask) && to.is_dynamic(mask) {
-                    let e = self.lift_owned(v, sink)?;
-                    Ok(Rc::new(PVal::Code(e)))
-                } else {
-                    Ok(v)
-                }
+            GCoerce::List { to, elem, .. } if !to.is_dynamic(mask) => {
+                self.coerce_spine(elem, v, mask, sink)
             }
-            GCoerce::List { from, to, elem, elem_identity } => {
-                if from.is_dynamic(mask) {
-                    Ok(v) // already code
-                } else if to.is_dynamic(mask) {
-                    let e = self.lift_owned(v, sink)?;
-                    Ok(Rc::new(PVal::Code(e)))
-                } else if *elem_identity {
-                    Ok(v)
-                } else {
-                    self.coerce_spine(elem, v, mask, sink)
-                }
+            _ => {
+                let e = self.lift_owned(v, sink)?;
+                Ok(Rc::new(PVal::Code(e)))
             }
         }
     }
@@ -1208,7 +1177,7 @@ impl<'p> Engine<'p> {
             PVal::Nil => Ok(Rc::clone(&v)),
             PVal::Cons(h, t) => {
                 let (h, t) = (Rc::clone(h), Rc::clone(t));
-                let h2 = self.coerce(elem, h, mask, sink)?;
+                let h2 = self.coerce_active(elem, h, mask, sink)?;
                 let t2 = self.coerce_spine(elem, t, mask, sink)?;
                 Ok(Rc::new(PVal::Cons(h2, t2)))
             }
@@ -1257,8 +1226,37 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// Performs a static primitive on partial values.
-fn static_prim(op: PrimOp, vals: Vec<Rc<PVal>>) -> Result<Rc<PVal>, SpecError> {
+/// Builds the static closure of a [`GExp::Lam`] in frame `env`.
+#[inline(never)]
+fn closure(lam: &GExp, env: &[Rc<PVal>], mask: BtMask, module: ModName) -> Rc<PVal> {
+    let GExp::Lam { param, body, captured, free_fns, lam_id } = lam else {
+        unreachable!("closure() is only called on GExp::Lam");
+    };
+    Rc::new(PVal::Clo(Rc::new(Closure {
+        param: *param,
+        body: Arc::clone(body),
+        env: captured.iter().map(|s| Rc::clone(&env[*s as usize])).collect(),
+        free_fns: Arc::clone(free_fns),
+        lam_id: *lam_id,
+        module,
+        mask,
+    })))
+}
+
+/// A [`SpecError::TypeConfusion`] naming the offending value.
+#[cold]
+#[inline(never)]
+fn type_confusion(what: &str, v: &PVal) -> SpecError {
+    SpecError::TypeConfusion(format!("{what} {v:?}"))
+}
+
+/// Performs a static primitive on partial values. Booleans, `[]` and
+/// small naturals in the result come from the shared `lits`.
+fn static_prim(
+    lits: &mut Literals,
+    op: PrimOp,
+    vals: &[Rc<PVal>],
+) -> Result<Rc<PVal>, SpecError> {
     use PrimOp::*;
     let nat = |v: &PVal| match v {
         PVal::Nat(n) => Ok(*n),
@@ -1274,83 +1272,47 @@ fn static_prim(op: PrimOp, vals: Vec<Rc<PVal>>) -> Result<Rc<PVal>, SpecError> {
             op.symbol()
         ))),
     };
-    match op {
-        Add => Ok(Rc::new(PVal::Nat(nat(&vals[0])?.wrapping_add(nat(&vals[1])?)))),
-        Sub => Ok(Rc::new(PVal::Nat(nat(&vals[0])?.saturating_sub(nat(&vals[1])?)))),
-        Mul => Ok(Rc::new(PVal::Nat(nat(&vals[0])?.wrapping_mul(nat(&vals[1])?)))),
-        Div => {
-            let n0 = nat(&vals[0])?;
-            match n0.checked_div(nat(&vals[1])?) {
-                Some(q) => Ok(Rc::new(PVal::Nat(q))),
+    match (op, vals) {
+        (Add, [a, b]) => Ok(lits.nat(nat(a)?.wrapping_add(nat(b)?))),
+        (Sub, [a, b]) => Ok(lits.nat(nat(a)?.saturating_sub(nat(b)?))),
+        (Mul, [a, b]) => Ok(lits.nat(nat(a)?.wrapping_mul(nat(b)?))),
+        (Div, [a, b]) => {
+            let n0 = nat(a)?;
+            match n0.checked_div(nat(b)?) {
+                Some(q) => Ok(lits.nat(q)),
                 None => Err(SpecError::DivByZero),
             }
         }
-        Eq => Ok(Rc::new(PVal::Bool(nat(&vals[0])? == nat(&vals[1])?))),
-        Lt => Ok(Rc::new(PVal::Bool(nat(&vals[0])? < nat(&vals[1])?))),
-        Leq => Ok(Rc::new(PVal::Bool(nat(&vals[0])? <= nat(&vals[1])?))),
-        And => Ok(Rc::new(PVal::Bool(boolean(&vals[0])? && boolean(&vals[1])?))),
-        Or => Ok(Rc::new(PVal::Bool(boolean(&vals[0])? || boolean(&vals[1])?))),
-        Not => Ok(Rc::new(PVal::Bool(!boolean(&vals[0])?))),
-        Cons => Ok(Rc::new(PVal::Cons(Rc::clone(&vals[0]), Rc::clone(&vals[1])))),
-        Head => match &*vals[0] {
+        (Eq, [a, b]) => Ok(lits.boolean(nat(a)? == nat(b)?)),
+        (Lt, [a, b]) => Ok(lits.boolean(nat(a)? < nat(b)?)),
+        (Leq, [a, b]) => Ok(lits.boolean(nat(a)? <= nat(b)?)),
+        (And, [a, b]) => Ok(lits.boolean(boolean(a)? && boolean(b)?)),
+        (Or, [a, b]) => Ok(lits.boolean(boolean(a)? || boolean(b)?)),
+        (Not, [a]) => Ok(lits.boolean(!boolean(a)?)),
+        (Cons, [h, t]) => Ok(Rc::new(PVal::Cons(Rc::clone(h), Rc::clone(t)))),
+        (Head, [l]) => match &**l {
             PVal::Cons(h, _) => Ok(Rc::clone(h)),
             PVal::Nil => Err(SpecError::EmptyList("head")),
             other => Err(SpecError::TypeConfusion(format!("static head of {other:?}"))),
         },
-        Tail => match &*vals[0] {
+        (Tail, [l]) => match &**l {
             PVal::Cons(_, t) => Ok(Rc::clone(t)),
             PVal::Nil => Err(SpecError::EmptyList("tail")),
             other => Err(SpecError::TypeConfusion(format!("static tail of {other:?}"))),
         },
-        Null => match &*vals[0] {
-            PVal::Nil => Ok(Rc::new(PVal::Bool(true))),
-            PVal::Cons(..) => Ok(Rc::new(PVal::Bool(false))),
+        (Null, [l]) => match &**l {
+            PVal::Nil => Ok(lits.boolean(true)),
+            PVal::Cons(..) => Ok(lits.boolean(false)),
             other => Err(SpecError::TypeConfusion(format!("static null of {other:?}"))),
         },
+        _ => Err(arity_error(op, vals.len())),
     }
 }
 
-/// The deep clone the string-based engine performed on every variable
-/// lookup and closure-environment copy ([`CostModel::Legacy`] only).
-///
-/// Post-interning, a structural clone of an `Expr` is nearly free — the
-/// identifiers are `u32` symbols. The old engine's identifiers were
-/// heap `String`s, so cloning a `Code` value allocated and copied one
-/// string per identifier occurrence. [`legacy_name_cost`] materialises
-/// exactly those allocations so the legacy model charges what the old
-/// engine actually paid.
-fn legacy_clone(v: &PVal) -> PVal {
-    let cloned = v.clone();
-    if let PVal::Code(e) = &cloned {
-        legacy_expr_cost(e);
-    }
-    cloned
-}
-
-/// Allocates the strings a pre-interning clone of `e` would have.
-fn legacy_expr_cost(e: &Expr) {
-    e.visit(&mut |n| match n {
-        Expr::Var(x) | Expr::Lam(x, _) | Expr::Let(x, ..) => {
-            std::hint::black_box(x.as_str().to_string());
-        }
-        Expr::Call(c, _) => {
-            if let Some(m) = &c.module {
-                std::hint::black_box(m.as_str().to_string());
-            }
-            std::hint::black_box(c.name.as_str().to_string());
-        }
-        _ => {}
-    });
-}
-
-/// The string formatting + hashing a pre-interning qualified-name lookup
-/// performed on every call-site resolution.
-fn legacy_name_cost(q: &QualName) {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    q.module.as_str().hash(&mut h);
-    q.name.as_str().hash(&mut h);
-    std::hint::black_box(h.finish());
+/// A primitive applied to the wrong number of arguments (only a
+/// malformed `.gx` file can contain one).
+fn arity_error(op: PrimOp, found: usize) -> SpecError {
+    SpecError::TypeConfusion(format!("primitive {} applied to {found} arguments", op.symbol()))
 }
 
 /// Makes names unique by appending primed counters to duplicates.
@@ -1384,6 +1346,10 @@ mod tests {
         Rc::new(v)
     }
 
+    fn prim(op: PrimOp, vals: &[Rc<PVal>]) -> Result<Rc<PVal>, SpecError> {
+        static_prim(&mut Literals::new(), op, vals)
+    }
+
     #[test]
     fn uniquify_keeps_distinct_names() {
         let names = vec![Ident::new("a"), Ident::new("b")];
@@ -1401,12 +1367,12 @@ mod tests {
 
     #[test]
     fn static_prim_arithmetic() {
-        let add = static_prim(PrimOp::Add, vec![rc(PVal::Nat(2)), rc(PVal::Nat(3))]).unwrap();
+        let add = prim(PrimOp::Add, &[rc(PVal::Nat(2)), rc(PVal::Nat(3))]).unwrap();
         assert!(matches!(&*add, PVal::Nat(5)));
-        let sub = static_prim(PrimOp::Sub, vec![rc(PVal::Nat(2)), rc(PVal::Nat(3))]).unwrap();
+        let sub = prim(PrimOp::Sub, &[rc(PVal::Nat(2)), rc(PVal::Nat(3))]).unwrap();
         assert!(matches!(&*sub, PVal::Nat(0)));
         assert!(matches!(
-            static_prim(PrimOp::Div, vec![rc(PVal::Nat(1)), rc(PVal::Nat(0))]),
+            prim(PrimOp::Div, &[rc(PVal::Nat(1)), rc(PVal::Nat(0))]),
             Err(SpecError::DivByZero)
         ));
     }
@@ -1415,21 +1381,33 @@ mod tests {
     fn static_prim_lists_allow_dynamic_elements() {
         // A partially static list: static cons with a code head.
         let code = rc(PVal::Code(Expr::Var(Ident::new("x"))));
-        let cons = static_prim(PrimOp::Cons, vec![code, rc(PVal::Nil)]).unwrap();
-        let head = static_prim(PrimOp::Head, vec![Rc::clone(&cons)]).unwrap();
+        let cons = prim(PrimOp::Cons, &[code, rc(PVal::Nil)]).unwrap();
+        let head = prim(PrimOp::Head, &[Rc::clone(&cons)]).unwrap();
         assert!(matches!(&*head, PVal::Code(_)));
-        let null = static_prim(PrimOp::Null, vec![cons]).unwrap();
+        let null = prim(PrimOp::Null, &[cons]).unwrap();
         assert!(matches!(&*null, PVal::Bool(false)));
     }
 
     #[test]
     fn static_prim_type_confusion_is_reported() {
         assert!(matches!(
-            static_prim(PrimOp::Add, vec![rc(PVal::Bool(true)), rc(PVal::Nat(1))]),
+            prim(PrimOp::Add, &[rc(PVal::Bool(true)), rc(PVal::Nat(1))]),
             Err(SpecError::TypeConfusion(_))
         ));
         assert!(matches!(
-            static_prim(PrimOp::Head, vec![rc(PVal::Nat(1))]),
+            prim(PrimOp::Head, &[rc(PVal::Nat(1))]),
+            Err(SpecError::TypeConfusion(_))
+        ));
+    }
+
+    #[test]
+    fn static_prim_rejects_wrong_arity() {
+        assert!(matches!(
+            prim(PrimOp::Add, &[rc(PVal::Nat(1))]),
+            Err(SpecError::TypeConfusion(_))
+        ));
+        assert!(matches!(
+            prim(PrimOp::Not, &[rc(PVal::Bool(true)), rc(PVal::Bool(true))]),
             Err(SpecError::TypeConfusion(_))
         ));
     }

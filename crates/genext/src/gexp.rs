@@ -114,6 +114,22 @@ impl GCoerce {
             }
         }
     }
+
+    /// `true` if applying the coercion under `mask` returns its input
+    /// unchanged: no static part of the value rises to `D`, so the
+    /// engine can hand the value on without walking it.
+    pub fn is_noop(&self, mask: BtMask) -> bool {
+        match self {
+            GCoerce::Id => true,
+            GCoerce::Base { from, to } | GCoerce::Fun { from, to } => {
+                from.is_dynamic(mask) || !to.is_dynamic(mask)
+            }
+            GCoerce::List { from, to, elem, elem_identity } => {
+                from.is_dynamic(mask)
+                    || (!to.is_dynamic(mask) && (*elem_identity || elem.is_noop(mask)))
+            }
+        }
+    }
 }
 
 /// A compiled generating-extension expression.
@@ -678,6 +694,22 @@ mod tests {
             GCoerce::List { elem_identity, .. } => assert!(elem_identity),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn list_coercion_is_noop_only_when_no_element_lifts() {
+        let lift_elem = GCoerce::Base { from: BtCode::s(), to: BtCode::compile(&BtTerm::var(0)) };
+        let list = GCoerce::List {
+            from: BtCode::s(),
+            to: BtCode::s(),
+            elem: Box::new(lift_elem),
+            elem_identity: false,
+        };
+        // t0 = S: the element stays static, so the walk would rebuild an
+        // equal list. t0 = D: every element lifts.
+        assert!(list.is_noop(BtMask(0)));
+        assert!(!list.is_noop(BtMask(1)));
+        assert!(GCoerce::Id.is_noop(BtMask(1)));
     }
 
     #[test]

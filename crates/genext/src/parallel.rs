@@ -39,7 +39,7 @@
 use crate::budget::{BudgetResource, OnExhaustion};
 use crate::emit::{assemble, MemorySink, ModuleSink, NullSink, ResidualProgram};
 use crate::engine::{
-    uniquify, CostModel, Engine, EngineOptions, Provenance, SpecArg, SpecKey, SpecStats, Strategy,
+    uniquify, Engine, EngineOptions, Provenance, SpecArg, SpecKey, SpecStats, Strategy,
 };
 use crate::error::SpecError;
 use crate::gexp::{GenProgram, GExp};
@@ -889,7 +889,7 @@ pub struct ParallelOutcome {
 ///
 /// Falls back to the sequential engine in-process when the options
 /// demand orderings the round-based driver does not reproduce
-/// (depth-first strategy, generalising fallback, legacy cost model) —
+/// (depth-first strategy, generalising fallback) —
 /// and when `threads` is 1: a single synchronous worker consuming the
 /// frontier in breadth-first order *is* the sequential engine, so the
 /// placeholder/replay decomposition would only add overhead. Routing
@@ -914,8 +914,7 @@ pub fn specialise_streaming_threaded(
 ) -> Result<ParallelOutcome, SpecError> {
     let parallelisable = threads.get() > 1
         && options.strategy == Strategy::BreadthFirst
-        && options.on_exhaustion == OnExhaustion::Error
-        && options.cost_model == CostModel::Interned;
+        && options.on_exhaustion == OnExhaustion::Error;
     if !parallelisable {
         let mut eng = Engine::with_recorder(program, options, recorder);
         let resid = eng.specialise_streaming(entry, args, sink)?;

@@ -113,6 +113,47 @@ impl PVal {
     }
 }
 
+/// Naturals below this bound are shared by [`Literals`].
+const SHARED_NATS: usize = 256;
+
+/// The engine's shared literal values: both booleans, `[]` and the
+/// naturals below [`SHARED_NATS`], so evaluating a literal or a static
+/// primitive bumps a reference count instead of allocating. The set is
+/// fixed in size; a natural's slot is filled on first use.
+pub(crate) struct Literals {
+    bools: [Rc<PVal>; 2],
+    nil: Rc<PVal>,
+    nats: [Option<Rc<PVal>>; SHARED_NATS],
+}
+
+impl Literals {
+    pub(crate) fn new() -> Literals {
+        Literals {
+            bools: [Rc::new(PVal::Bool(false)), Rc::new(PVal::Bool(true))],
+            nil: Rc::new(PVal::Nil),
+            nats: [const { None }; SHARED_NATS],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn boolean(&self, b: bool) -> Rc<PVal> {
+        Rc::clone(&self.bools[usize::from(b)])
+    }
+
+    #[inline]
+    pub(crate) fn nil(&self) -> Rc<PVal> {
+        Rc::clone(&self.nil)
+    }
+
+    #[inline]
+    pub(crate) fn nat(&mut self, n: u64) -> Rc<PVal> {
+        match usize::try_from(n).ok().and_then(|i| self.nats.get_mut(i)) {
+            Some(slot) => Rc::clone(slot.get_or_insert_with(|| Rc::new(PVal::Nat(n)))),
+            None => Rc::new(PVal::Nat(n)),
+        }
+    }
+}
+
 /// The static skeleton of a value: the memoisation key of `mk_resid`.
 /// Dynamic leaves become [`PKey::Hole`]s, so two calls with the same
 /// static data (and *any* dynamic data) share one specialisation — the
@@ -439,6 +480,19 @@ mod tests {
             Expr::Prim(PrimOp::Cons, vec![Expr::Nat(1), Expr::Nil])
         );
         assert!(quote_static(&clo(vec![])).is_none());
+    }
+
+    #[test]
+    fn literals_share_small_values_and_allocate_large_ones() {
+        let mut lits = Literals::new();
+        assert!(Rc::ptr_eq(&lits.nat(7), &lits.nat(7)));
+        assert!(Rc::ptr_eq(&lits.boolean(true), &lits.boolean(true)));
+        assert!(Rc::ptr_eq(&lits.nil(), &lits.nil()));
+        let big = SHARED_NATS as u64;
+        assert!(!Rc::ptr_eq(&lits.nat(big), &lits.nat(big)));
+        assert!(matches!(*lits.nat(big), PVal::Nat(n) if n == big));
+        assert!(matches!(*lits.nat(u64::MAX), PVal::Nat(u64::MAX)));
+        assert!(matches!(*lits.boolean(false), PVal::Bool(false)));
     }
 
     #[test]
