@@ -343,11 +343,7 @@ fn analyse_scc(
             forced.push(j as u32);
             continue;
         }
-        for v in t.vars() {
-            if v as usize != j {
-                reach[j] |= 1u128 << v;
-            }
-        }
+        reach[j] = t.bits().1 & !(1u128 << j);
     }
     // The relation may contain equivalences (i ≤ j ≤ i); a witness for
     // dropping an edge must be *strictly* between its endpoints, or the
@@ -548,7 +544,7 @@ fn finalize(
     })
 }
 
-impl SccCx<'_> {
+impl<'a> SccCx<'a> {
     fn coerce_into(
         &mut self,
         pre: PreExpr,
@@ -623,7 +619,7 @@ impl SccCx<'_> {
                         ret,
                     ))
                 } else {
-                    let sig = self.lookup_signature(&q)?.clone();
+                    let sig = self.lookup_signature(&q)?;
                     let inst: Vec<NodeId> =
                         (0..sig.vars).map(|_| self.solver.fresh_node()).collect();
                     for &(lo, hi) in &sig.constraints {
@@ -726,7 +722,7 @@ impl SccCx<'_> {
         }
     }
 
-    fn lookup_signature(&self, q: &QualName) -> Result<&BtSignature, BtaError> {
+    fn lookup_signature(&self, q: &QualName) -> Result<&'a BtSignature, BtaError> {
         if q.module == self.module.name {
             if let Some(sig) = self.done.get(&q.name) {
                 return Ok(sig);
@@ -748,12 +744,12 @@ impl SccCx<'_> {
                 cx.solver.force_d(n);
                 return n;
             }
-            let vars: Vec<_> = t.vars().collect();
-            if vars.len() == 1 {
-                return inst[vars[0] as usize];
+            let (_, bits) = t.bits();
+            if bits.count_ones() == 1 {
+                return inst[bits.trailing_zeros() as usize];
             }
             let n = cx.solver.fresh_node();
-            for v in vars {
+            for v in t.vars() {
                 cx.solver.edge(inst[v as usize], n);
             }
             n
@@ -882,7 +878,7 @@ mod tests {
         let sig = ann.signature(&QualName::new("A", "map")).unwrap();
         // Unfolding is governed by the spine of xs (the null test).
         let spine_var = match &sig.params[1] {
-            SigShape::List(_, t) => t.clone(),
+            SigShape::List(_, t) => *t,
             other => panic!("xs should be a list shape, got {other}"),
         };
         assert_eq!(sig.unfold, spine_var);

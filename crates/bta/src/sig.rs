@@ -155,27 +155,55 @@ impl ToJson for BtSignature {
 }
 
 impl FromJson for BtSignature {
+    /// Decodes a signature and checks that it is well formed: at most 128
+    /// variables, and every variable it mentions — constraint endpoints,
+    /// `forced_d` entries and the terms of `params`, `ret` and `unfold` —
+    /// is one of them. An interface that passes its checksum but names an
+    /// undeclared variable is rejected here rather than indexing out of
+    /// bounds in the analysis of a client module.
     fn from_json_value(j: &Json) -> Result<BtSignature, JsonError> {
+        let vars = j.get("vars")?.as_u32()?;
+        if vars > 128 {
+            return Err(JsonError(format!(
+                "binding-time signature declares {vars} variables; the limit is 128"
+            )));
+        }
+        let declared = |v: u32| -> Result<u32, JsonError> {
+            if v < vars {
+                Ok(v)
+            } else {
+                Err(JsonError(format!(
+                    "binding-time variable t{v} is not declared (the signature has {vars})"
+                )))
+            }
+        };
         let mut constraints = Vec::new();
         for c in j.get("constraints")?.as_arr()? {
             let pair = c.as_arr()?;
             if pair.len() != 2 {
                 return Err(JsonError("constraint expects [lo, hi]".into()));
             }
-            constraints.push((pair[0].as_u32()?, pair[1].as_u32()?));
+            constraints.push((declared(pair[0].as_u32()?)?, declared(pair[1].as_u32()?)?));
         }
         let mut forced_d = Vec::new();
         for v in j.get("forced_d")?.as_arr()? {
-            forced_d.push(v.as_u32()?);
+            forced_d.push(declared(v.as_u32()?)?);
         }
-        Ok(BtSignature {
-            vars: j.get("vars")?.as_u32()?,
+        let sig = BtSignature {
+            vars,
             constraints,
             forced_d,
             params: Vec::from_json_value(j.get("params")?)?,
             ret: SigShape::from_json_value(j.get("ret")?)?,
             unfold: BtTerm::from_json_value(j.get("unfold")?)?,
-        })
+        };
+        let terms = sig.params.iter().chain([&sig.ret]).flat_map(SigShape::terms);
+        for t in terms.chain([&sig.unfold]) {
+            if let Some(v) = t.vars().last() {
+                declared(v)?;
+            }
+        }
+        Ok(sig)
     }
 }
 

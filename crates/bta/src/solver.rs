@@ -503,14 +503,7 @@ impl LeastSolutions {
         if self.forced[r] {
             return BtTerm::d();
         }
-        let mut vars = Vec::new();
-        let bits = self.reach[r];
-        for i in 0..128u32 {
-            if bits >> i & 1 == 1 {
-                vars.push(i);
-            }
-        }
-        BtTerm::lub_of(vars)
+        BtTerm::from_bits(self.reach[r])
     }
 }
 

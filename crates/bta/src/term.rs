@@ -7,7 +7,6 @@
 //! lub of the empty set.)
 
 use mspec_lang::{FromJson, Json, JsonError, ToJson};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A concrete binding time: static or dynamic, with `S < D`.
@@ -49,35 +48,42 @@ impl fmt::Display for Bt {
 pub type BtVarId = u32;
 
 /// A symbolic binding time: `D`, or the lub of a set of signature
-/// variables (empty set = `S`).
+/// variables (empty set = `S`), kept as the 128-bit mask generating
+/// extensions evaluate (bit `i` set ⇔ `t_i` occurs), so `lub` is an OR.
 ///
 /// `D ⊔ anything = D`, so a term containing `D` is just `D` — the
-/// representation keeps that normal form.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// representation keeps that normal form (a forced `D` has no bits).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BtTerm {
     forced_d: bool,
-    vars: BTreeSet<BtVarId>,
+    vars: u128,
 }
 
 impl BtTerm {
     /// The constant `S` (lub of nothing).
     pub fn s() -> BtTerm {
-        BtTerm { forced_d: false, vars: BTreeSet::new() }
+        BtTerm::from_bits(0)
     }
 
     /// The constant `D`.
     pub fn d() -> BtTerm {
-        BtTerm { forced_d: true, vars: BTreeSet::new() }
+        BtTerm { forced_d: true, vars: 0 }
     }
 
-    /// A single signature variable.
+    /// A single signature variable; panics unless `v < 128` (the
+    /// analysis rejects wider signatures first).
     pub fn var(v: BtVarId) -> BtTerm {
-        BtTerm { forced_d: false, vars: [v].into() }
+        BtTerm::from_bits(1u128.checked_shl(v).expect("binding-time signature too wide"))
+    }
+
+    /// The lub of the variables whose bits are set in `vars`.
+    pub fn from_bits(vars: u128) -> BtTerm {
+        BtTerm { forced_d: false, vars }
     }
 
     /// The lub of a set of variables.
     pub fn lub_of(vars: impl IntoIterator<Item = BtVarId>) -> BtTerm {
-        BtTerm { forced_d: false, vars: vars.into_iter().collect() }
+        vars.into_iter().fold(BtTerm::s(), |t, v| t.lub(&BtTerm::var(v)))
     }
 
     /// Least upper bound of two terms.
@@ -85,16 +91,13 @@ impl BtTerm {
         if self.forced_d || other.forced_d {
             BtTerm::d()
         } else {
-            BtTerm {
-                forced_d: false,
-                vars: self.vars.union(&other.vars).copied().collect(),
-            }
+            BtTerm::from_bits(self.vars | other.vars)
         }
     }
 
     /// `true` if the term is the constant `S`.
     pub fn is_s(&self) -> bool {
-        !self.forced_d && self.vars.is_empty()
+        !self.forced_d && self.vars == 0
     }
 
     /// `true` if the term is the constant `D`.
@@ -102,39 +105,32 @@ impl BtTerm {
         self.forced_d
     }
 
-    /// The signature variables mentioned.
-    pub fn vars(&self) -> impl Iterator<Item = BtVarId> + '_ {
-        self.vars.iter().copied()
+    /// The signature variables mentioned, in ascending order.
+    pub fn vars(&self) -> impl Iterator<Item = BtVarId> {
+        let mut rest = self.vars;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let v = rest.trailing_zeros();
+                rest &= rest - 1;
+                v
+            })
+        })
     }
 
     /// Evaluates the term under an assignment of the signature variables.
     pub fn eval(&self, assignment: impl Fn(BtVarId) -> Bt) -> Bt {
-        if self.forced_d {
-            return Bt::D;
+        if self.forced_d || self.vars().any(|v| assignment(v) == Bt::D) {
+            Bt::D
+        } else {
+            Bt::S
         }
-        for v in &self.vars {
-            if assignment(*v) == Bt::D {
-                return Bt::D;
-            }
-        }
-        Bt::S
     }
 
     /// The variables as a bitmask (bit `i` set ⇔ `t_i` occurs), together
     /// with the forced-`D` flag — the compiled form used by generating
     /// extensions, where evaluating an annotation is one AND.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a variable index is ≥ 128; [`crate::sig::BtMask`] is 128
-    /// bits wide and the analysis rejects wider signatures first.
     pub fn bits(&self) -> (bool, u128) {
-        let mut bits = 0u128;
-        for v in &self.vars {
-            assert!(*v < 128, "binding-time signature too wide");
-            bits |= 1u128 << v;
-        }
-        (self.forced_d, bits)
+        (self.forced_d, self.vars)
     }
 
     /// Rewrites the term by substituting each variable with a term
@@ -143,11 +139,7 @@ impl BtTerm {
         if self.forced_d {
             return BtTerm::d();
         }
-        let mut out = BtTerm::s();
-        for v in &self.vars {
-            out = out.lub(&f(*v));
-        }
-        out
+        self.vars().fold(BtTerm::s(), |out, v| out.lub(&f(v)))
     }
 }
 
@@ -156,7 +148,7 @@ impl ToJson for BtTerm {
         if self.forced_d {
             Json::str("D")
         } else {
-            Json::Arr(self.vars.iter().map(|v| Json::Num(u128::from(*v))).collect())
+            Json::Arr(self.vars().map(|v| Json::Num(u128::from(v))).collect())
         }
     }
 }
@@ -169,11 +161,14 @@ impl FromJson for BtTerm {
                 other => Err(JsonError(format!("unknown binding-time constant `{other}`"))),
             };
         }
-        let mut vars = BTreeSet::new();
+        let mut vars = 0u128;
         for v in j.as_arr()? {
-            vars.insert(v.as_u32()?);
+            let v = v.as_u32()?;
+            vars |= 1u128.checked_shl(v).ok_or_else(|| {
+                JsonError(format!("binding-time variable t{v} is beyond the limit of 128"))
+            })?;
         }
-        Ok(BtTerm { forced_d: false, vars })
+        Ok(BtTerm::from_bits(vars))
     }
 }
 
@@ -182,10 +177,10 @@ impl fmt::Display for BtTerm {
         if self.forced_d {
             return write!(f, "D");
         }
-        if self.vars.is_empty() {
+        if self.vars == 0 {
             return write!(f, "S");
         }
-        for (i, v) in self.vars.iter().enumerate() {
+        for (i, v) in self.vars().enumerate() {
             if i > 0 {
                 write!(f, " | ")?;
             }

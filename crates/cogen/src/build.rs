@@ -186,8 +186,7 @@ fn build_one(
         rec.count("io.bti_bytes_written", file_len(&out.bti));
         rec.count("io.gx_bytes_written", file_len(&out.gx));
     }
-    let new_iface = load_bti(&bti)?;
-    Ok((ModuleOutcome::Built, old_iface.as_ref() != Some(&new_iface)))
+    Ok((ModuleOutcome::Built, old_iface.as_ref() != Some(&out.interface)))
 }
 
 /// Ready-count work-stealing cogen: one task per module, released when

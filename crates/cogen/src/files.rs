@@ -493,13 +493,18 @@ pub fn load_bti_full(path: impl AsRef<Path>) -> Result<(BtInterface, u64), Cogen
     Ok((iface, fp))
 }
 
-/// The fingerprint of a `.bti` file on disk (also validates it).
+/// The fingerprint of a `.bti` file on disk: its payload checksum. Only
+/// the header and checksum are verified — the payload is not decoded, so
+/// this is cheap enough to run on every revalidation of an artefact
+/// directory. [`load_bti`] decodes and validates the interface itself.
 ///
 /// # Errors
 ///
-/// I/O failures or [`CogenError::Format`] on corrupt content.
+/// I/O failures or [`CogenError::Format`] on a malformed header or a
+/// checksum mismatch.
 pub fn bti_fingerprint(path: impl AsRef<Path>) -> Result<u64, CogenError> {
-    Ok(load_bti_full(path)?.1)
+    let text = fs::read_to_string(path)?;
+    Ok(decode_artefact("bti", &text)?.1)
 }
 
 /// The name/arity signature of a module — everything a *client's
@@ -663,6 +668,8 @@ pub struct CogenOutput {
     pub gen_text: PathBuf,
     /// Path of the written name/arity signature.
     pub sig: PathBuf,
+    /// The interface written to [`CogenOutput::bti`].
+    pub interface: BtInterface,
 }
 
 /// Runs the cogen for one module: reads the `.bti` files of its imports
@@ -706,7 +713,13 @@ pub fn cogen_module(
     store_gx_with(&gx_path, &gx, &fingerprints)?;
     atomic_write(&text_path, text)?;
     store_sig(&sig_path, &SigFile::of(module))?;
-    Ok(CogenOutput { bti: bti_path, gx: gx_path, gen_text: text_path, sig: sig_path })
+    Ok(CogenOutput {
+        bti: bti_path,
+        gx: gx_path,
+        gen_text: text_path,
+        sig: sig_path,
+        interface: ann.interface,
+    })
 }
 
 /// Convenience: parses module source text, resolves it against the

@@ -1039,7 +1039,7 @@ impl<'a> MixInterp<'a> {
                 (SigShape::List(elem, _), MVal::Cons(h, t)) => {
                     let h2 = self.lift_to_shape((*h).clone(), elem, mask)?;
                     let t2 =
-                        self.lift_to_shape(MVal::clone(&t), &SigShape::List(elem.clone(), shape.top().clone()), mask)?;
+                        self.lift_to_shape(MVal::clone(&t), &SigShape::List(elem.clone(), *shape.top()), mask)?;
                     Ok(MVal::Cons(Rc::new(h2), Rc::new(t2)))
                 }
                 (_, v) => Ok(v),

@@ -204,14 +204,19 @@ grep -qF '[memo hit]' target/cache-smoke/daemon-warm.err \
 test -s target/bench-smoke/BENCH_pr9.json \
   || { echo "cache_table wrote no BENCH_pr9.json"; exit 1; }
 
-echo "==> standing benchmark: unit tests + short spec_run with its oracle"
+echo "==> standing benchmark: unit tests + short spec_run and build_dag with their oracles"
 # perfbench checks every residual value it produces against an
 # independent oracle and exits non-zero on any wrong or failed op, so an
-# engine change that breaks specialisation fails here, not only when
-# the benchmark is next run. Run artefacts land in .bench_runs/.
+# engine change that breaks specialisation (spec_run), or a front-end,
+# analysis or cogen change that breaks a generated module DAG
+# (build_dag, checked against the tree evaluator on the source
+# program), fails here, not only when the benchmark is next run. Run
+# artefacts land in .bench_runs/.
 timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 CARGO_TARGET_DIR=target timeout 600 python3 perfbench/run.py \
   --workload spec_run --seed 1 --seconds 3 --trace 0
+CARGO_TARGET_DIR=target timeout 600 python3 perfbench/run.py \
+  --workload build_dag --seed 1 --seconds 3 --trace 0
 
 echo "==> cargo clippy --all-targets -- -D warnings (offline)"
 cargo clippy --all-targets --offline -- -D warnings

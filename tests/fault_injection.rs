@@ -12,7 +12,7 @@
 //!   budget-exhausting requests — and must answer every *subsequent*
 //!   request correctly, never dying or stalling.
 
-use mspec_cogen::files::{cogen_module, load_bti, load_gx, CogenError};
+use mspec_cogen::files::{cogen_module, encode_artefact, load_bti, load_gx, CogenError};
 use mspec_cogen::link_dir;
 use mspec_core::{
     EngineOptions, OnExhaustion, Pipeline, PipelineError, SpecArg, SpecBudget,
@@ -113,6 +113,48 @@ fn version_bumped_artefacts_are_rejected() {
     bump_version(&bti);
     let err = load_bti(&bti).unwrap_err();
     assert!(err.to_string().contains("version"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An interface whose checksum is valid but whose scheme names a
+/// variable it does not declare — in a constraint, a parameter term or
+/// the result term — is a format error for the client's cogen, not an
+/// out-of-bounds panic in its analysis.
+#[test]
+fn malformed_interface_schemes_are_format_errors() {
+    let dir = tmpdir("scheme");
+    cogen_tree(&dir);
+    let rp = resolve(
+        parse_program("module A where\nf x = x + 1\nmodule B where\nimport A\ng y = f y * 2\n")
+            .unwrap(),
+    )
+    .unwrap();
+    let b = rp.program().module("B").unwrap().clone();
+    let scheme = |constraints: &str, param: &str, ret: &str| {
+        format!(
+            "{{\"f\": {{\"vars\": 1, \"constraints\": {constraints}, \"forced_d\": [], \
+             \"params\": [{{\"base\": {param}}}], \"ret\": {{\"base\": {ret}}}, \
+             \"unfold\": []}}}}"
+        )
+    };
+    // The well-formed scheme is accepted, so each rejection below is
+    // down to its one undeclared variable.
+    let payloads = [
+        ("well-formed", scheme("[]", "[0]", "[0]")),
+        ("constraint [0,5]", scheme("[[0, 5]]", "[0]", "[0]")),
+        ("param term [3]", scheme("[]", "[3]", "[0]")),
+        ("ret term [200]", scheme("[]", "[0]", "[200]")),
+    ];
+    for (what, payload) in payloads {
+        fs::write(dir.join("A.bti"), encode_artefact("bti", &payload)).unwrap();
+        match cogen_module(&b, &dir, &BTreeSet::new()) {
+            Ok(_) if what == "well-formed" => {}
+            Err(CogenError::Format(msg)) if what != "well-formed" => {
+                assert!(msg.contains("binding-time variable"), "{what}: {msg}");
+            }
+            other => panic!("{what}: unexpected cogen result {other:?}"),
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
